@@ -342,6 +342,20 @@ bool SaveCampaignCheckpoint(const CampaignCheckpoint& checkpoint,
   return !ec;
 }
 
+const char* ToString(CheckpointSource source) {
+  switch (source) {
+    case CheckpointSource::kNone:
+      return "none";
+    case CheckpointSource::kPrimary:
+      return "primary";
+    case CheckpointSource::kFallback:
+      return "fallback";
+    case CheckpointSource::kTempOrphan:
+      return "temp_orphan";
+  }
+  return "unknown";
+}
+
 CheckpointSource LoadCampaignCheckpoint(const std::string& dir,
                                         const CampaignFingerprint& expected,
                                         CampaignCheckpoint* out,

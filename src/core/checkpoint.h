@@ -103,6 +103,10 @@ enum class CheckpointSource {
   kTempOrphan,
 };
 
+/// Human-readable source name ("none", "primary", "fallback",
+/// "temp_orphan").
+const char* ToString(CheckpointSource source);
+
 /// Loads the freshest valid checkpoint from `dir`: tries the primary
 /// file, then a complete `.tmp` orphan, then the previous good file —
 /// strictly newest-first, so double faults (e.g. a torn primary AND a

@@ -99,13 +99,19 @@ void AttackEnvironment::Reset(data::ItemId target_item) CA_HOT_PATH {
     // Fixed query candidates per pretend user for this target item. They
     // depend only on the rolled-back dataset state and the target item, so
     // the fast path reuses the cached lists unchanged.
-    query_negatives_.clear();
+    query_candidates_.clear();
     util::Rng candidate_rng(config_.seed ^
                             (0x9E3779B97F4A7C15ULL * (target_item + 1)));
     for (const data::UserId user : pretend_user_ids_) {
-      query_negatives_.push_back(rec::SampleNegatives(
+      const std::vector<data::ItemId> negatives = rec::SampleNegatives(
           *polluted_, user, target_item, config_.query_candidates,
-          candidate_rng));
+          candidate_rng);
+      std::vector<data::ItemId> candidates;
+      candidates.reserve(negatives.size() + 1);
+      candidates.push_back(target_item);
+      candidates.insert(candidates.end(), negatives.begin(),
+                        negatives.end());
+      query_candidates_.push_back(std::move(candidates));
     }
   }
   RebuildOracleStack(episodes_begun_++);
@@ -146,23 +152,6 @@ void AttackEnvironment::RebuildOracleStack(std::uint64_t episode_index)
         std::make_unique<fault::ResilientBlackBox>(oracle_, resilience);
     oracle_ = resilient_.get();
   }
-  if (config_.batched_queries) {
-    // Outermost layer: query rounds batch through it. The blocked fast
-    // path is only legal when nothing sits between the wrapper and the
-    // in-process oracle; with fault decorators the batch forwards per
-    // query so their draw sequences stay bit-identical. Without
-    // decorators the wrapper's wiring never changes (black_box_ is
-    // created once, above), so it is built once and reused; with them it
-    // is rebuilt to point at this episode's fresh decorators.
-    const bool has_decorators =
-        config_.fault.enabled || config_.resilience.enabled;
-    if (batched_ == nullptr || has_decorators) {
-      rec::BlackBoxRecommender* fast =
-          oracle_ == black_box_.get() ? black_box_.get() : nullptr;
-      batched_ = std::make_unique<rec::BatchedBlackBox>(oracle_, fast);
-    }
-    oracle_ = batched_.get();
-  }
 }
 
 double AttackEnvironment::QueryReward() {
@@ -196,13 +185,7 @@ bool AttackEnvironment::TryRawHitRatio(double* out) {
   }
   ++lifetime_queries_;  // one query round (attempted rounds count too)
   double total = 0.0;
-  const auto score_response = [&](const rec::QueryResult& response,
-                                  bool* round_lost) {
-    if (response.status == rec::BlackBoxStatus::kUnavailable) {
-      // Retries exhausted or breaker open: the whole round is lost.
-      *round_lost = true;
-      return;
-    }
+  const auto score = [&](const rec::QueryResult& response) {
     if (!response.ok()) return;  // individual failure = miss
     const auto it = std::find(response.items.begin(), response.items.end(),
                               target_item_);
@@ -216,42 +199,30 @@ bool AttackEnvironment::TryRawHitRatio(double* out) {
     }
   };
 
-  if (batched_ != nullptr) {
-    // Batched round: every pretend user's probe in one coalesced oracle
-    // call (fixed candidate lists, target first — the exact queries of
-    // the per-user loop below, in the same order).
-    std::vector<std::vector<data::ItemId>> candidate_lists;
-    candidate_lists.reserve(pretend_user_ids_.size());
+  // One dense score block needs equal-length rows; tiny datasets can come
+  // up short of negatives for some pretend users.
+  const bool rectangular = std::all_of(
+      query_candidates_.begin(), query_candidates_.end(),
+      [&](const std::vector<data::ItemId>& list) {
+        return list.size() == query_candidates_.front().size();
+      });
+  if (oracle_ == black_box_.get() && rectangular) {
+    for (const rec::QueryResult& response : black_box_->QueryTopKBatch(
+             pretend_user_ids_, query_candidates_, config_.reward_k)) {
+      score(response);
+    }
+  } else {
+    // Decorators draw per operation, so probe one pretend user at a time
+    // in order. The first kUnavailable (retries exhausted or breaker
+    // open) loses the whole round without touching the oracle again.
     for (std::size_t i = 0; i < pretend_user_ids_.size(); ++i) {
-      std::vector<data::ItemId> candidates;
-      candidates.reserve(query_negatives_[i].size() + 1);
-      candidates.push_back(target_item_);
-      candidates.insert(candidates.end(), query_negatives_[i].begin(),
-                        query_negatives_[i].end());
-      candidate_lists.push_back(std::move(candidates));
+      const rec::QueryResult response = oracle_->Query(
+          pretend_user_ids_[i], query_candidates_[i], config_.reward_k);
+      if (response.status == rec::BlackBoxStatus::kUnavailable) {
+        return false;
+      }
+      score(response);
     }
-    const std::vector<rec::QueryResult> responses = batched_->QueryBatch(
-        pretend_user_ids_, candidate_lists, config_.reward_k);
-    bool round_lost = false;
-    for (const rec::QueryResult& response : responses) {
-      score_response(response, &round_lost);
-      if (round_lost) return false;
-    }
-    *out = total / static_cast<double>(pretend_user_ids_.size());
-    return true;
-  }
-
-  for (std::size_t i = 0; i < pretend_user_ids_.size(); ++i) {
-    std::vector<data::ItemId> candidates;
-    candidates.reserve(query_negatives_[i].size() + 1);
-    candidates.push_back(target_item_);
-    candidates.insert(candidates.end(), query_negatives_[i].begin(),
-                      query_negatives_[i].end());
-    const rec::QueryResult response = oracle_->Query(
-        pretend_user_ids_[i], candidates, config_.reward_k);
-    bool round_lost = false;
-    score_response(response, &round_lost);
-    if (round_lost) return false;
   }
   *out = total / static_cast<double>(pretend_user_ids_.size());
   return true;

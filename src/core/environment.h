@@ -9,7 +9,6 @@
 #include "data/dataset.h"
 #include "fault/fault_injector.h"
 #include "fault/resilient_black_box.h"
-#include "rec/batched_black_box.h"
 #include "rec/black_box.h"
 #include "rec/evaluator.h"
 #include "rec/recommender.h"
@@ -73,13 +72,6 @@ struct EnvConfig {
   fault::FaultScheduleConfig fault;
   /// Client-side retry/backoff/circuit-breaker policy (off by default).
   fault::ResilienceConfig resilience;
-  /// Coalesce each query round's pretend-user probes into one batched
-  /// oracle call (rec::BatchedBlackBox). Payload-equivalent to per-user
-  /// probing — on the clean stack the batch runs as one blocked scoring
-  /// call with heap select; under faults it forwards per query in probe
-  /// order — so rewards and fault sequences are bit-identical either
-  /// way. The sharded campaign runner turns this on.
-  bool batched_queries = false;
 };
 
 /// The MDP the attacker interacts with (paper §4.2): states are the
@@ -129,7 +121,12 @@ class AttackEnvironment {
 
   /// Attempts one real query round. Returns false — leaving `*out`
   /// untouched — if the oracle reported kUnavailable mid-round; individual
-  /// non-ok queries short of that merely count as misses.
+  /// non-ok queries short of that merely count as misses. On the clean
+  /// stack (no fault or resilience decorator) with equal-length candidate
+  /// lists the round is one blocked `QueryTopKBatch` call; otherwise it
+  /// probes the outermost oracle per pretend user, in order, so decorator
+  /// draw sequences are those of a per-query client. Both give the same
+  /// answers and the same query meter.
   bool TryRawHitRatio(double* out);
 
   bool done() const { return done_; }
@@ -147,8 +144,6 @@ class AttackEnvironment {
   const fault::FaultInjector* fault_injector() const {
     return fault_injector_.get();
   }
-  /// The batching decorator, or nullptr unless `batched_queries` is on.
-  const rec::BatchedBlackBox* batched() const { return batched_.get(); }
   /// The resilience client, or nullptr when disabled.
   const fault::ResilientBlackBox* resilient() const {
     return resilient_.get();
@@ -215,8 +210,9 @@ class AttackEnvironment {
 
   std::vector<data::Profile> pretend_profiles_;
   std::vector<data::UserId> pretend_user_ids_;
-  /// Fixed per-pretend-user negative candidates for the current target item.
-  std::vector<std::vector<data::ItemId>> query_negatives_;
+  /// Fixed per-pretend-user query candidates for the current target item:
+  /// the target first, then the sampled negatives.
+  std::vector<std::vector<data::ItemId>> query_candidates_;
 
   /// One long-lived polluted copy of the training data. Episodes are
   /// separated by checkpoint/rollback (O(injected) per reset), not by
@@ -235,7 +231,6 @@ class AttackEnvironment {
   /// always points at the outermost layer the attacker should use.
   std::unique_ptr<fault::FaultInjector> fault_injector_;
   std::unique_ptr<fault::ResilientBlackBox> resilient_;
-  std::unique_ptr<rec::BatchedBlackBox> batched_;
   rec::BlackBoxInterface* oracle_ = nullptr;
 
   data::ItemId target_item_ = data::kNoItem;

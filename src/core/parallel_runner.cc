@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <string>
 #include <utility>
 
@@ -49,19 +50,15 @@ ParallelCampaignResult ParallelCampaignRunner::Run(
       std::max<std::size_t>(1, options_.shards == 0 ? options_.jobs
                                                     : options_.shards);
 
-  // Per-item config: the batching decorator is the only knob the runner
-  // turns; the seeds stay exactly RunCampaign's (see PlayTargetItem).
-  CampaignConfig item_config = config;
-  item_config.env.batched_queries = options_.batched_queries;
-  item_config.num_threads = 1;
-  item_config.checkpoint = CampaignCheckpointOptions{};
-
-  // Probe a throwaway strategy for the method name: fingerprints need it
-  // before any shard runs (construction is cheap and stateless).
-  const std::string method = strategy_factory_(config.seed)->name();
+  // Checkpoint fingerprints need the method name before any shard runs,
+  // so a checkpointed run probes a throwaway strategy for it. Otherwise
+  // the name comes from the first target played: strategy construction
+  // is a sizeable share of a short campaign.
+  std::string method;
+  std::once_flag method_once;
+  if (checkpointed) method = strategy_factory_(config.seed)->name();
 
   ParallelCampaignResult result;
-  result.aggregate.method = method;
   result.outcomes.resize(targets.size());
   result.completed.assign(targets.size(), 0);
   result.shards.resize(total_shards);
@@ -181,10 +178,13 @@ ParallelCampaignResult ParallelCampaignRunner::Run(
             return canceled();
           };
 
+          std::string name;
           TargetPlayResult play = PlayTargetItem(
               dataset_, target_train_, model_factory_, strategy_factory_,
-              targets[global_index], global_index, item_config, hooks,
-              nullptr);
+              targets[global_index], global_index, config, hooks, &name);
+          if (!checkpointed) {
+            std::call_once(method_once, [&] { method = std::move(name); });
+          }
           if (play.aborted) break;
 
           result.outcomes[global_index] = std::move(play.outcome);
@@ -200,6 +200,7 @@ ParallelCampaignResult ParallelCampaignRunner::Run(
         stats.wall_seconds = shard_watch.ElapsedSeconds();
       });
 
+  result.aggregate.method = method;
   result.aggregate.aborted = abort_flag.load(std::memory_order_relaxed);
   for (const ShardStats& stats : result.shards) {
     result.aggregate.checkpoint_saves += stats.checkpoint_saves;

@@ -25,10 +25,6 @@ struct ParallelRunnerOptions {
   /// bit-identical for every shard count (see class comment), so the
   /// shard count only tunes checkpoint granularity and load balancing.
   std::size_t shards = 0;
-  /// Route every query round through the `rec::BatchedBlackBox`
-  /// decorator (one blocked scoring call per round instead of one oracle
-  /// round-trip per pretend user). Payload-equivalent either way.
-  bool batched_queries = true;
   /// Per-shard crash safety: with a non-empty `dir`, shard s of S
   /// persists its progress under `<dir>/shard_<s>_of_<S>` using the
   /// standard campaign checkpoint format, fingerprinted with the shard's
@@ -100,9 +96,10 @@ struct ParallelCampaignResult {
 /// its environment (own serving/rollback checkpoints, own fault
 /// injector and circuit breaker) and hence its outcome are the same no
 /// matter which shard or thread runs it. The aggregate is merged in
-/// global target order. Together that makes the result bit-identical to
-/// the sequential `RunCampaign` under `jobs = 1` and invariant to the
-/// shard count — the property the shard-determinism tests pin down.
+/// global target order. Together that makes the result invariant to the
+/// thread and shard count — the property the shard-determinism tests pin
+/// down. This is the only campaign execution path: `RunCampaign` and
+/// `EvaluateWithoutAttack` are thin wrappers over it.
 ///
 /// Each shard additionally owns a golden-ratio `util::Rng` stream seed
 /// (`util::DeriveStreamSeed(campaign_seed, shard ⊕ shard-count)`) that

@@ -1,15 +1,11 @@
 #include "core/runner.h"
 
-#include <mutex>
+#include <memory>
 #include <sstream>
 
-#include "core/target_play.h"
-#include "obs/obs.h"
-#include "obs/time.h"
-#include "util/check.h"
+#include "core/parallel_runner.h"
 #include "util/logging.h"
 #include "util/string_utils.h"
-#include "util/thread_pool.h"
 
 namespace copyattack::core {
 
@@ -34,119 +30,16 @@ SourceArtifacts PrepareSourceArtifacts(
 
 namespace {
 
-/// The crash-safe sequential campaign (checkpoint.dir set). Plays target
-/// items in order, persisting a checkpoint after every completed target
-/// and every `every_episodes` episodes within one; with `resume` it first
-/// reloads the freshest valid checkpoint. Episode-for-episode it performs
-/// exactly the operations of the parallel path with num_threads = 1, so
-/// outcomes are bit-identical to an uncheckpointed single-threaded run.
-CampaignResult RunCampaignCheckpointed(
-    const data::CrossDomainDataset& dataset,
-    const data::Dataset& target_train, const ModelFactory& model_factory,
-    const StrategyFactory& strategy_factory,
-    const std::vector<data::ItemId>& targets,
-    const CampaignConfig& config) {
-  CA_CHECK(!config.env.refit_on_query)
-      << "checkpointed campaigns require refit_on_query = false: the "
-         "refit target model's weights are not captured by the checkpoint";
-  CA_CHECK_GT(config.checkpoint.every_episodes, 0U);
-  OBS_SPAN("campaign.run_checkpointed");
-  OBS_COUNTER_INC("campaign.runs");
-  obs::Stopwatch watch;
-  CampaignResult result;
-
-  CampaignCheckpoint state;
-  // The fingerprint needs the method name before any target runs; probe
-  // a throwaway strategy for it (construction is cheap and stateless
-  // across instances).
-  state.fingerprint.method = strategy_factory(config.seed)->name();
-  state.fingerprint.seed = config.seed;
-  state.fingerprint.episodes = config.episodes;
-  state.fingerprint.num_targets = targets.size();
-  state.fingerprint.env_budget = config.env.budget;
-  result.method = state.fingerprint.method;
-
-  std::size_t start_index = 0;
-  InProgressTarget resume_progress;
-  if (config.checkpoint.resume) {
-    CampaignCheckpoint loaded;
-    const CheckpointSource source = LoadCampaignCheckpoint(
-        config.checkpoint.dir, state.fingerprint, &loaded);
-    if (source != CheckpointSource::kNone) {
-      result.resumed_from = source;
-      OBS_COUNTER_INC("campaign.resumes");
-      state.completed = std::move(loaded.completed);
-      start_index = state.completed.size();
-      if (loaded.in_progress.active) {
-        CA_CHECK_EQ(loaded.in_progress.target_index, start_index);
-        resume_progress = loaded.in_progress;
-      }
-      CA_LOG(Info) << "campaign: resumed (" << start_index << "/"
-                   << targets.size() << " targets done"
-                   << (resume_progress.active
-                           ? ", mid-target checkpoint present"
-                           : "")
-                   << ")";
-    }
+/// The "Without Attack" reference strategy: plays no action, so the
+/// measured state is the clean model serving the pretend users.
+class WithoutAttack final : public AttackStrategy {
+ public:
+  std::string name() const override { return "WithoutAttack"; }
+  void BeginTargetItem(data::ItemId /*target_item*/) override {}
+  double RunEpisode(AttackEnvironment& /*env*/, util::Rng& /*rng*/) override {
+    return 0.0;
   }
-
-  const auto save = [&] {
-    if (SaveCampaignCheckpoint(state, config.checkpoint.dir)) {
-      ++result.checkpoint_saves;
-      OBS_COUNTER_INC("campaign.checkpoint_saves");
-    } else {
-      // A failed save must not kill the campaign it exists to protect;
-      // log and keep going on the previous good checkpoint.
-      CA_LOG(Warning) << "campaign: checkpoint save failed under "
-                      << config.checkpoint.dir;
-    }
-  };
-
-  std::size_t episodes_played = 0;
-  for (std::size_t index = start_index; index < targets.size(); ++index) {
-    TargetPlayHooks hooks;
-    hooks.every_episodes = config.checkpoint.every_episodes;
-    hooks.progress_target_index = index;
-    hooks.on_progress = [&](const InProgressTarget& progress) {
-      state.in_progress = progress;
-      save();
-    };
-    if (resume_progress.active && index == start_index) {
-      hooks.resume = &resume_progress;
-    }
-    hooks.should_abort = [&] {
-      ++episodes_played;
-      return config.checkpoint.abort_after_episodes > 0 &&
-             episodes_played >= config.checkpoint.abort_after_episodes;
-    };
-
-    TargetPlayResult play =
-        PlayTargetItem(dataset, target_train, model_factory,
-                       strategy_factory, targets[index], index, config,
-                       hooks, nullptr);
-    if (play.aborted) {
-      // Whatever checkpoint was last written is what a real restart
-      // would find.
-      result.aborted = true;
-      MergeOutcomes(state.completed, config.eval_ks, &result);
-      result.wall_seconds = watch.ElapsedSeconds();
-      return result;
-    }
-
-    state.completed.push_back(std::move(play.outcome));
-    state.in_progress = InProgressTarget{};
-    resume_progress = InProgressTarget{};
-    save();
-  }
-
-  MergeOutcomes(state.completed, config.eval_ks, &result);
-  result.wall_seconds = watch.ElapsedSeconds();
-  CA_LOG(Info) << result.method << " (checkpointed): "
-               << util::FormatDouble(result.wall_seconds, 1) << "s over "
-               << targets.size() << " target items, "
-               << result.checkpoint_saves << " checkpoint saves";
-  return result;
-}
+};
 
 }  // namespace
 
@@ -155,31 +48,13 @@ CampaignResult EvaluateWithoutAttack(
     const data::Dataset& target_train, const ModelFactory& model_factory,
     const std::vector<data::ItemId>& targets,
     const CampaignConfig& config) {
-  OBS_SPAN("campaign.baseline_eval");
-  obs::Stopwatch watch;
-  CampaignResult result;
-  result.method = "WithoutAttack";
-
-  std::vector<TargetOutcomeState> outcomes(targets.size());
-  util::ThreadPool::ParallelFor(
-      targets.size(), config.num_threads, [&](std::size_t index) {
-        const data::ItemId item = targets[index];
-        std::unique_ptr<rec::Recommender> model = model_factory();
-        EnvConfig env_config = config.env;
-        env_config.seed = config.seed + 1000003ULL * index;
-        AttackEnvironment env(dataset, target_train, model.get(),
-                              env_config);
-        env.Reset(item);  // pretend users added, no injections
-        TargetOutcomeState outcome;
-        outcome.metrics = env.EvaluateRealPromotion(
-            config.eval_ks, config.eval_users, config.eval_negatives);
-        // Each worker writes its own pre-sized slot; no lock needed.
-        outcomes[index] = std::move(outcome);
-      });
-
-  MergeOutcomes(outcomes, config.eval_ks, &result);
-  result.wall_seconds = watch.ElapsedSeconds();
-  return result;
+  CampaignConfig reference = config;
+  reference.episodes = 1;
+  reference.checkpoint = CampaignCheckpointOptions{};
+  return RunCampaign(
+      dataset, target_train, model_factory,
+      [](std::uint64_t) { return std::make_unique<WithoutAttack>(); },
+      targets, reference);
 }
 
 CampaignResult RunCampaign(const data::CrossDomainDataset& dataset,
@@ -188,42 +63,13 @@ CampaignResult RunCampaign(const data::CrossDomainDataset& dataset,
                            const StrategyFactory& strategy_factory,
                            const std::vector<data::ItemId>& targets,
                            const CampaignConfig& config) {
-  CA_CHECK_GT(config.episodes, 0U);
-  if (!config.checkpoint.dir.empty()) {
-    // Crash-safe sequential path; the parallel fast path below stays
-    // byte-for-byte untouched when checkpointing is off.
-    return RunCampaignCheckpointed(dataset, target_train, model_factory,
-                                   strategy_factory, targets, config);
-  }
-  OBS_SPAN("campaign.run");
-  OBS_COUNTER_INC("campaign.runs");
-  obs::Stopwatch watch;
-  CampaignResult result;
-
-  std::vector<TargetOutcomeState> outcomes(targets.size());
-  std::string method_name;
-  std::once_flag method_name_once;
-
-  util::ThreadPool::ParallelFor(
-      targets.size(), config.num_threads, [&](std::size_t index) {
-        std::string name;
-        TargetPlayResult play = PlayTargetItem(
-            dataset, target_train, model_factory, strategy_factory,
-            targets[index], index, config, TargetPlayHooks{}, &name);
-        // Distinct slots per worker; only the shared method name needs a
-        // one-time guard (every strategy instance reports the same name).
-        outcomes[index] = std::move(play.outcome);
-        std::call_once(method_name_once,
-                       [&] { method_name = name; });
-      });
-
-  result.method = method_name;
-  MergeOutcomes(outcomes, config.eval_ks, &result);
-  result.wall_seconds = watch.ElapsedSeconds();
-  CA_LOG(Info) << result.method << ": "
-               << util::FormatDouble(result.wall_seconds, 1) << "s over "
-               << targets.size() << " target items";
-  return result;
+  ParallelRunnerOptions options;
+  options.jobs = config.num_threads;
+  options.checkpoint = config.checkpoint;
+  return ParallelCampaignRunner(dataset, target_train, model_factory,
+                                strategy_factory, options)
+      .Run(targets, config)
+      .aggregate;
 }
 
 std::string CampaignRowHeader() {

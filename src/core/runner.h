@@ -48,18 +48,16 @@ using ModelFactory = std::function<std::unique_ptr<rec::Recommender>()>;
 using StrategyFactory =
     std::function<std::unique_ptr<AttackStrategy>(std::uint64_t seed)>;
 
-/// Crash-safety options of a campaign (ISSUE 5). With a non-empty `dir`,
-/// `RunCampaign` runs target items sequentially and persists a versioned,
-/// CRC-checksummed checkpoint (core/checkpoint.h) after every completed
-/// target and every `every_episodes` episodes in between; with `resume`
-/// it first loads the freshest valid checkpoint and continues bit-exactly
-/// from there. Requires `env.refit_on_query == false` (a refit target
-/// model's weights are not captured) and implies single-threaded
-/// execution over targets (the sequential path is bit-identical to a
-/// `num_threads = 1` run without checkpointing).
+/// Crash-safety options of a campaign. With a non-empty `dir`, every
+/// shard of the campaign runner persists a versioned, CRC-checksummed
+/// checkpoint (core/checkpoint.h) under `<dir>/shard_<s>_of_<S>` after
+/// every completed target and every `every_episodes` episodes in between; with `resume` it first loads the
+/// freshest valid checkpoint and continues bit-exactly from there.
+/// Requires `env.refit_on_query == false` (a refit target model's weights
+/// are not captured). Checkpointing never changes outcomes, and works at
+/// any thread count.
 struct CampaignCheckpointOptions {
-  /// Checkpoint directory; empty disables checkpointing entirely (the
-  /// untouched parallel fast path runs instead).
+  /// Checkpoint directory; empty disables checkpointing entirely.
   std::string dir;
   /// Resume from `dir` if a valid checkpoint exists.
   bool resume = false;
@@ -82,7 +80,7 @@ struct CampaignConfig {
   std::size_t eval_users = 300;
   std::size_t eval_negatives = 100;
   std::uint64_t seed = 77;
-  /// Worker threads across target items (1 = sequential).
+  /// Worker threads across target items (>= 1; 1 = sequential).
   std::size_t num_threads = 1;
   /// Crash-safe checkpoint/resume (off unless `checkpoint.dir` is set).
   CampaignCheckpointOptions checkpoint;
@@ -99,7 +97,7 @@ struct CampaignResult {
   double wall_seconds = 0.0;
   std::size_t num_target_items = 0;
 
-  // Checkpointed-run bookkeeping (all zero/kNone on the parallel path).
+  // Checkpointed-run bookkeeping (all zero/kNone without checkpointing).
   std::size_t checkpoint_saves = 0;   ///< checkpoint files written
   CheckpointSource resumed_from = CheckpointSource::kNone;
   /// True when the `abort_after_episodes` test hook cut the run short;
@@ -108,7 +106,8 @@ struct CampaignResult {
 };
 
 /// The "Without Attack" reference row: promotion metrics of the target
-/// items under the clean model.
+/// items under the clean model. Runs `RunCampaign` with a strategy that
+/// injects nothing, one episode per item and checkpointing off.
 CampaignResult EvaluateWithoutAttack(const data::CrossDomainDataset& dataset,
                                      const data::Dataset& target_train,
                                      const ModelFactory& model_factory,
@@ -117,7 +116,9 @@ CampaignResult EvaluateWithoutAttack(const data::CrossDomainDataset& dataset,
 
 /// Runs one method over all `targets`: per item, `episodes` episodes of
 /// attack, then final promotion metrics over real users on the last
-/// episode's polluted state. Aggregates into a Table-2 row.
+/// episode's polluted state. Aggregates into a Table-2 row. A thin
+/// wrapper over `ParallelCampaignRunner` (core/parallel_runner.h) with
+/// `jobs = num_threads` and `config.checkpoint`.
 CampaignResult RunCampaign(const data::CrossDomainDataset& dataset,
                            const data::Dataset& target_train,
                            const ModelFactory& model_factory,

@@ -40,10 +40,10 @@ struct TargetPlayResult {
 };
 
 /// Plays every episode of one target item — fresh model clone, fresh
-/// strategy, fresh environment, final promotion metrics — exactly the way
-/// every campaign runner does it. `global_index` is the item's position
-/// in the FULL campaign target list; it (never any shard-local position)
-/// derives the per-item seed `config.seed + 1000003 * global_index`,
+/// strategy, fresh environment, final promotion metrics. This is the
+/// campaign runner's only episode loop. `global_index` is the item's
+/// position in the FULL campaign target list; it (never any shard-local
+/// position) derives the per-item seed `config.seed + 1000003 * global_index`,
 /// which is what makes outcomes independent of how items are distributed
 /// over threads or shards. `method_name`, when non-null, receives the
 /// strategy's reported name.

@@ -49,8 +49,9 @@ StrategySpec MakeStrategyFactory(const data::CrossDomainDataset& dataset,
 
 /// Attack-server configuration (one per process lifetime).
 struct ServerConfig {
-  /// Sharding/batching of each job's campaign. `runner.checkpoint` is
-  /// ignored — per-job crash safety is derived from the fields below.
+  /// Worker threads and sharding of each job's campaign. Per-job crash
+  /// safety is derived from the fields below: of `runner.checkpoint`
+  /// only the `abort_after_episodes` crash hook passes through.
   core::ParallelRunnerOptions runner;
   /// Root of the per-job checkpoint tree: job `id` persists under
   /// `<checkpoint_root>/job_<id>`. Empty disables crash safety.

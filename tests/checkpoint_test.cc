@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -426,6 +427,19 @@ TEST(CheckpointCrashTest, TempOrphanPreferredOverFallback) {
   EXPECT_EQ(loaded.in_progress.episodes_done, 2U);
 }
 
+TEST(CheckpointTest, EverySourceHasADistinctName) {
+  const CheckpointSource sources[] = {
+      CheckpointSource::kNone, CheckpointSource::kPrimary,
+      CheckpointSource::kFallback, CheckpointSource::kTempOrphan};
+  std::set<std::string> names;
+  for (const CheckpointSource source : sources) {
+    const std::string name = ToString(source);
+    EXPECT_NE(name, "unknown");
+    names.insert(name);
+  }
+  EXPECT_EQ(names.size(), std::size(sources));
+}
+
 // ---------------------------------------------------------------------------
 // Kill-and-resume equivalence
 
@@ -535,8 +549,9 @@ TEST(CheckpointResumeTest, ResumeAfterCorruptionUsesFallbackCheckpoint) {
               targets, crashing);
   // The crash also mangled the freshest checkpoint; recovery must fall
   // back to the previous good one and still converge to the same result
-  // (it just replays one more episode).
-  CorruptFile(CheckpointPath(crashing.checkpoint.dir));
+  // (it just replays one more episode). A one-thread campaign is one
+  // shard.
+  CorruptFile(CheckpointPath(crashing.checkpoint.dir + "/shard_0_of_1"));
 
   CampaignConfig resuming = ResumableCampaign();
   resuming.checkpoint.dir = crashing.checkpoint.dir;

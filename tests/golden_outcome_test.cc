@@ -1,0 +1,174 @@
+// Golden campaign outcomes on the Tiny world. Every other campaign test
+// compares one execution path against another; these pin the absolute
+// numbers (as hexfloats, bit-exact), so a refactor that changes what a
+// campaign computes fails here even when all paths drift together.
+//
+// The values are a property of the default seeds: under a
+// COPYATTACK_TEST_SEED override the world itself changes, so the tests
+// skip.
+
+#include <cstdint>
+#include <filesystem>
+#include <ios>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
+
+#include <gtest/gtest.h>
+
+#include "core/baselines.h"
+#include "core/copy_attack.h"
+#include "core/runner.h"
+#include "fault/fault_injector.h"
+#include "test_helpers.h"
+#include "test_seed.h"
+#include "util/rng.h"
+
+namespace copyattack::core {
+namespace {
+
+using testhelpers::SharedTinyWorld;
+
+/// HR/NDCG@{20,10,5}, avg_final_reward, avg_query_rounds,
+/// avg_profiles_injected — in that order.
+using Golden = std::vector<double>;
+
+const char* const kFieldNames[] = {
+    "hr@20",        "hr@10",        "hr@5",
+    "ndcg@20",      "ndcg@10",      "ndcg@5",
+    "final_reward", "query_rounds", "profiles_injected"};
+
+std::string Hex(double value) {
+  std::ostringstream out;
+  out << std::hexfloat << value;
+  return out.str();
+}
+
+void ExpectGolden(const CampaignResult& result, const Golden& golden) {
+  const Golden actual = {
+      result.metrics.at(20).hr,   result.metrics.at(10).hr,
+      result.metrics.at(5).hr,    result.metrics.at(20).ndcg,
+      result.metrics.at(10).ndcg, result.metrics.at(5).ndcg,
+      result.avg_final_reward,    result.avg_query_rounds,
+      result.avg_profiles_injected};
+  ASSERT_EQ(actual.size(), golden.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    EXPECT_EQ(actual[i], golden[i])
+        << kFieldNames[i] << ": actual " << Hex(actual[i]) << ", golden "
+        << Hex(golden[i]);
+  }
+}
+
+CampaignConfig GoldenCampaign() {
+  CampaignConfig config;
+  config.env.budget = 9;
+  config.env.query_interval = 3;
+  config.env.num_pretend_users = 10;
+  config.env.query_candidates = 50;
+  config.episodes = 3;
+  config.eval_users = 60;
+  config.eval_negatives = 50;
+  config.num_threads = 2;
+  return config;
+}
+
+std::vector<data::ItemId> GoldenTargets() {
+  util::Rng rng(71);
+  return data::SampleColdTargetItems(SharedTinyWorld().world.dataset, 3, 10,
+                                     rng);
+}
+
+StrategyFactory CopyAttackFactory() {
+  const auto& tw = SharedTinyWorld();
+  CopyAttackConfig agent_config;
+  agent_config.learning_rate = 0.1f;
+  return [&tw, agent_config](std::uint64_t seed) {
+    return std::make_unique<CopyAttack>(
+        &tw.world.dataset, &tw.artifacts.tree,
+        &tw.artifacts.mf.user_embeddings(),
+        &tw.artifacts.mf.item_embeddings(), agent_config, seed);
+  };
+}
+
+const Golden kCopyAttackGolden = {
+    0x1.99e8e4b6403d7p-2, 0x1.82f29be1ba643p-3, 0x1.17d6f2fb08a99p-4,
+    0x1.ee33538bc2125p-4, 0x1.140cf2e0bb59ep-4, 0x1.dcda3bf21ec0fp-6,
+    0x1.dddddddddddddp-2, 0x1.2p+3,             0x1.2p+3};
+
+class GoldenOutcomeTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    if (testhelpers::SeedOverrideActive()) {
+      GTEST_SKIP() << "golden values hold only for the default seeds";
+    }
+  }
+};
+
+TEST_F(GoldenOutcomeTest, CopyAttack) {
+  const auto& tw = SharedTinyWorld();
+  const CampaignResult result =
+      RunCampaign(tw.world.dataset, tw.split.train, tw.ModelFactory(),
+                  CopyAttackFactory(), GoldenTargets(), GoldenCampaign());
+  EXPECT_EQ(result.method, "CopyAttack");
+  ExpectGolden(result, kCopyAttackGolden);
+}
+
+TEST_F(GoldenOutcomeTest, TargetAttackUnderAggressiveFaults) {
+  const auto& tw = SharedTinyWorld();
+  CampaignConfig config = GoldenCampaign();
+  config.env.fault = fault::FaultScheduleConfig::Aggressive(27);
+  config.env.resilience.enabled = true;
+  const CampaignResult result = RunCampaign(
+      tw.world.dataset, tw.split.train, tw.ModelFactory(),
+      [&tw](std::uint64_t) {
+        return std::make_unique<TargetAttack>(tw.world.dataset, 0.7);
+      },
+      GoldenTargets(), config);
+  EXPECT_EQ(result.method, "TargetAttack70");
+  ExpectGolden(result, {0x1.bc8f2eb2cd70bp-3, 0x1.77dbe7acd313dp-4,
+                        0x1.78a4c8178a4c8p-6, 0x1.031037946b6bbp-4,
+                        0x1.04d2be3adc7f8p-5, 0x1.40f8ee3d064e9p-7,
+                        0x1.1111111111111p-2, 0x1.2p+3, 0x1p+3});
+}
+
+TEST_F(GoldenOutcomeTest, WithoutAttack) {
+  const auto& tw = SharedTinyWorld();
+  const CampaignResult result = EvaluateWithoutAttack(
+      tw.world.dataset, tw.split.train, tw.ModelFactory(), GoldenTargets(),
+      GoldenCampaign());
+  EXPECT_EQ(result.method, "WithoutAttack");
+  ExpectGolden(result, {0x1.3bda210f3fe0fp-3, 0x1.78a4c8178a4c8p-6, 0x0p+0,
+                        0x1.491f881958abap-5, 0x1.f9f64a6ffe7bp-8, 0x0p+0,
+                        0x0p+0, 0x0p+0, 0x0p+0});
+}
+
+TEST_F(GoldenOutcomeTest, KilledAndResumedCopyAttack) {
+  const auto& tw = SharedTinyWorld();
+  const std::string dir =
+      (std::filesystem::path(::testing::TempDir()) / "golden_resume")
+          .string();
+  std::filesystem::remove_all(dir);
+
+  // Killed mid-way through the second of three targets.
+  CampaignConfig crashing = GoldenCampaign();
+  crashing.checkpoint.dir = dir;
+  crashing.checkpoint.abort_after_episodes = 4;
+  const CampaignResult aborted =
+      RunCampaign(tw.world.dataset, tw.split.train, tw.ModelFactory(),
+                  CopyAttackFactory(), GoldenTargets(), crashing);
+  ASSERT_TRUE(aborted.aborted);
+
+  CampaignConfig resuming = GoldenCampaign();
+  resuming.checkpoint.dir = dir;
+  resuming.checkpoint.resume = true;
+  const CampaignResult resumed =
+      RunCampaign(tw.world.dataset, tw.split.train, tw.ModelFactory(),
+                  CopyAttackFactory(), GoldenTargets(), resuming);
+  EXPECT_NE(resumed.resumed_from, CheckpointSource::kNone);
+  EXPECT_FALSE(resumed.aborted);
+  ExpectGolden(resumed, kCopyAttackGolden);
+}
+
+}  // namespace
+}  // namespace copyattack::core

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -235,6 +236,62 @@ TEST_F(RecFixture, BlackBoxTopKOrderedByScore) {
   ASSERT_EQ(top.size(), 20U);
   for (std::size_t i = 1; i < top.size(); ++i) {
     EXPECT_GE(model.Score(1, top[i - 1]), model.Score(1, top[i]));
+  }
+}
+
+/// Scores on a four-level grid, so most candidate lists hold exact ties
+/// between distinct items.
+class TiedScoreModel final : public Recommender {
+ public:
+  void InitTraining(const data::Dataset&, util::Rng&) override {}
+  void TrainEpoch(const data::Dataset&, util::Rng&) override {}
+  void BeginServing(const data::Dataset&) override {}
+  void ObserveNewUser(const data::Dataset&, data::UserId) override {}
+  float Score(data::UserId user, data::ItemId item) const override {
+    return static_cast<float>((user + item) % 4);
+  }
+  std::string name() const override { return "TiedScore"; }
+};
+
+TEST_F(RecFixture, BlackBoxBatchMatchesPerQueryRowByRow) {
+  PinSageLite fitted;
+  util::Rng fit_rng(testhelpers::TestSeed(3));
+  fitted.Fit(split_.train, 5, fit_rng);
+  TiedScoreModel tied;
+
+  util::Rng rng(testhelpers::TestSeed(19));
+  std::vector<data::UserId> users;
+  std::vector<std::vector<data::ItemId>> candidates;
+  for (data::UserId user = 0; user < 8; ++user) {
+    users.push_back(user);
+    std::vector<data::ItemId> list;
+    for (const std::size_t item : rng.SampleWithoutReplacement(
+             split_.train.num_items(), 12)) {
+      list.push_back(static_cast<data::ItemId>(item));
+    }
+    candidates.push_back(std::move(list));
+  }
+
+  for (Recommender* model : {static_cast<Recommender*>(&fitted),
+                             static_cast<Recommender*>(&tied)}) {
+    data::Dataset polluted = split_.train;
+    model->BeginServing(polluted);
+    for (const std::size_t k : {std::size_t{1}, std::size_t{5},
+                                std::size_t{12}, std::size_t{20}}) {
+      SCOPED_TRACE(model->name() + " k=" + std::to_string(k));
+      BlackBoxRecommender batched(model, &polluted);
+      BlackBoxRecommender single(model, &polluted);
+      const std::vector<QueryResult> rows =
+          batched.QueryTopKBatch(users, candidates, k);
+      ASSERT_EQ(rows.size(), users.size());
+      for (std::size_t i = 0; i < users.size(); ++i) {
+        EXPECT_TRUE(rows[i].ok());
+        EXPECT_EQ(rows[i].items, single.QueryTopK(users[i], candidates[i], k))
+            << "row " << i;
+      }
+      EXPECT_EQ(batched.query_count(), single.query_count());
+      EXPECT_EQ(batched.query_count(), users.size());
+    }
   }
 }
 

@@ -203,7 +203,7 @@ const std::vector<RuleInfo>& RuleCatalogue() {
       {"oracle-direct-call", "oracle",
        "src/ code outside the allowlisted modules calls a metered oracle "
        "entry point or seam method directly, bypassing the "
-       "ResilientBlackBox/BatchedBlackBox decorator stack"},
+       "FaultInjector/ResilientBlackBox decorator stack"},
       {"oracle-unmetered-path", "oracle",
        "src/ function reaches a direct oracle call transitively without "
        "passing through an allowlisted gateway"},

@@ -7,10 +7,10 @@
 /// Metered-oracle enforcement (ISSUE 9): the paper's premise is a
 /// black-box attacker under a query budget, which only holds if every
 /// oracle operation flows through the metered decorator stack
-/// (BlackBoxRecommender <- FaultInjector <- ResilientBlackBox <-
-/// BatchedBlackBox). A strategy that calls QueryTopK on the concrete
-/// recommender directly would read the target without spending budget —
-/// its campaign numbers would be fiction. The [oracle] section of
+/// (BlackBoxRecommender <- FaultInjector <- ResilientBlackBox). A
+/// strategy that calls QueryTopK on the concrete recommender directly
+/// would read the target without spending budget — its campaign numbers
+/// would be fiction. The [oracle] section of
 /// layers.toml names the stack's classes, its metered entry points, the
 /// interface seam methods, and the sanctioned callers; everything else in
 /// src/ that reaches the oracle is a finding.

@@ -203,11 +203,18 @@ fault_soak() {
     --checkpoint_dir="${soak_tmp}/ckpt" \
     --telemetry_out="${soak_tmp}/telemetry" >/dev/null
   # Resume from the checkpoint it just wrote — the load/validate path must
-  # also be sanitizer-clean.
-  "${bin}" attack --data "${soak_tmp}/world" \
+  # also be sanitizer-clean, and must actually resume: a checkpoint-layout
+  # or fingerprint mismatch would silently replay from scratch.
+  local resume_out
+  resume_out="$("${bin}" attack --data "${soak_tmp}/world" \
     --method=CopyAttack --targets=2 --episodes=4 --budget=6 \
     --faults=aggressive --fault_seed=1337 \
-    --checkpoint_dir="${soak_tmp}/ckpt" --resume=1 >/dev/null
+    --checkpoint_dir="${soak_tmp}/ckpt" --resume=1)"
+  if ! grep -q "resumed from" <<<"${resume_out}"; then
+    echo "fault soak [${preset}]: --resume=1 did not resume" >&2
+    echo "${resume_out}" >&2
+    exit 1
+  fi
   mkdir -p "build/reports/fault_soak_${preset}"
   cp "${soak_tmp}/telemetry/"{metrics.csv,summary.json,trace.json} \
     "build/reports/fault_soak_${preset}/"

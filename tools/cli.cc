@@ -43,11 +43,9 @@ util::FlagParser MakeParser() {
       .Define("budget", "30", "attack: profile budget per episode")
       .Define("episodes", "15", "attack: training episodes (learning methods)")
       .Define("depth", "3", "attack: clustering tree depth")
-      .Define("threads", "1", "attack: worker threads over target items")
       .DefinePositiveInt("jobs", "1",
-                         "attack/attack-server: sharded-runner worker "
-                         "threads; attack routes through the parallel "
-                         "runner when this is supplied")
+                         "attack/attack-server: campaign-runner worker "
+                         "threads")
       .Define("queue", "-",
               "attack-server: promotion-jobs CSV path ('-' = stdin)")
       .Define("checkpoint_root", "",
@@ -186,7 +184,7 @@ int CmdAttack(const util::FlagParser& parser, std::ostream& out) {
   campaign.env.budget = parser.GetSizeT("budget");
   campaign.episodes = parser.GetSizeT("episodes");
   campaign.seed = parser.GetSizeT("seed");
-  campaign.num_threads = parser.GetSizeT("threads");
+  campaign.num_threads = parser.GetSizeT("jobs");
 
   const std::string faults = parser.GetString("faults");
   if (faults != "off") {
@@ -227,32 +225,21 @@ int CmdAttack(const util::FlagParser& parser, std::ostream& out) {
       dataset, split.train, model_factory, targets, campaign);
   out << core::FormatCampaignRow(clean) << '\n';
 
-  core::CampaignResult attacked;
-  if (parser.WasSupplied("jobs")) {
-    // Sharded runner: --jobs=1 is bit-identical to the sequential path.
-    core::ParallelRunnerOptions options;
-    options.jobs = parser.GetSizeT("jobs");
-    options.checkpoint = campaign.checkpoint;
-    const core::ParallelCampaignRunner runner(
-        dataset, split.train, model_factory, spec.factory, options);
-    core::ParallelCampaignResult sharded = runner.Run(targets, campaign);
-    attacked = sharded.aggregate;
-    out << core::FormatCampaignRow(attacked) << '\n';
-    out << "throughput: "
-        << util::FormatDouble(sharded.campaigns_per_sec, 2)
-        << " campaigns/s over " << options.jobs << " jobs\n";
-  } else {
-    attacked = core::RunCampaign(dataset, split.train, model_factory,
-                                 spec.factory, targets, campaign);
-    out << core::FormatCampaignRow(attacked) << '\n';
-  }
+  core::ParallelRunnerOptions options;
+  options.jobs = campaign.num_threads;
+  options.checkpoint = campaign.checkpoint;
+  const core::ParallelCampaignResult run =
+      core::ParallelCampaignRunner(dataset, split.train, model_factory,
+                                   spec.factory, options)
+          .Run(targets, campaign);
+  const core::CampaignResult& attacked = run.aggregate;
+  out << core::FormatCampaignRow(attacked) << '\n';
+  out << "throughput: " << util::FormatDouble(run.campaigns_per_sec, 2)
+      << " campaigns/s over " << options.jobs << " jobs\n";
   if (!campaign.checkpoint.dir.empty()) {
     out << "checkpoints: " << attacked.checkpoint_saves << " saved";
     if (attacked.resumed_from != core::CheckpointSource::kNone) {
-      out << ", resumed from "
-          << (attacked.resumed_from == core::CheckpointSource::kPrimary
-                  ? "primary"
-                  : "fallback");
+      out << ", resumed from " << core::ToString(attacked.resumed_from);
     }
     out << '\n';
   }

@@ -31,10 +31,9 @@ namespace copyattack::tools {
 ///       (alias influence).
 ///       --faults injects deterministic oracle faults (and enables the
 ///       retry/circuit-breaker client); --checkpoint_dir turns on
-///       crash-safe checkpointing, --resume continues from it. --jobs
-///       routes the campaign through the sharded parallel runner with
-///       batched oracle queries (--jobs=1 output is bit-identical to
-///       the sequential runner).
+///       crash-safe checkpointing (one directory per runner shard,
+///       `DIR/shard_<s>_of_<jobs>`), --resume continues from it. --jobs
+///       sets the worker threads; the rows do not depend on it.
 ///
 ///   copyattack attack-server --data PREFIX [--queue FILE|-] [--jobs N]
 ///       [--depth N] [--checkpoint_root DIR] [--resume 1]

@@ -329,7 +329,7 @@ int main(int argc, char** argv) {
     std::printf("telemetry summary: %s\n", telemetry_path.c_str());
   }
 
-  // Campaign-level scaling (ISSUE 6): the sharded runner vs sequential
+  // Campaign-level scaling: the runner at 1/2/4/8 jobs vs a one-thread
   // RunCampaign on LargeCross, TargetAttack40 over cold target items.
   // Writes campaign_scaling.csv (threads x campaigns/sec sweep, with the
   // machine's hardware thread count so the committed artifact is honest
