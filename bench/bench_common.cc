@@ -7,6 +7,7 @@
 #include "data/target_items.h"
 #include "obs/export.h"
 #include "obs/trace.h"
+#include "serve/attack_server.h"
 #include "util/check.h"
 #include "util/csv.h"
 #include "util/logging.h"
@@ -41,60 +42,6 @@ BenchWorld BuildBenchWorld(const data::SyntheticConfig& config,
 
   return BenchWorld(std::move(world), std::move(split), std::move(model),
                     report, std::move(artifacts));
-}
-
-const std::vector<std::string>& Table2Methods() {
-  static const std::vector<std::string>* const methods =
-      new std::vector<std::string>{
-          "RandomAttack",       "TargetAttack40",  "TargetAttack70",
-          "TargetAttack100",    "PolicyNetwork",   "CopyAttack-Masking",
-          "CopyAttack-Length",  "CopyAttack"};
-  return *methods;
-}
-
-std::unique_ptr<core::AttackStrategy> MakeStrategy(const std::string& name,
-                                                   const BenchWorld& bw,
-                                                   std::uint64_t seed) {
-  const auto* dataset = &bw.world.dataset;
-  const auto* tree = &bw.artifacts.tree;
-  const auto* user_emb = &bw.artifacts.mf.user_embeddings();
-  const auto* item_emb = &bw.artifacts.mf.item_embeddings();
-
-  if (name == "RandomAttack") {
-    return std::make_unique<core::RandomAttack>(*dataset);
-  }
-  if (name == "TargetAttack40") {
-    return std::make_unique<core::TargetAttack>(*dataset, 0.4);
-  }
-  if (name == "TargetAttack70") {
-    return std::make_unique<core::TargetAttack>(*dataset, 0.7);
-  }
-  if (name == "TargetAttack100") {
-    return std::make_unique<core::TargetAttack>(*dataset, 1.0);
-  }
-  if (name == "PolicyNetwork") {
-    return std::make_unique<core::FlatPolicyNetwork>(
-        dataset, user_emb, item_emb, core::FlatPolicyNetwork::Config{},
-        seed);
-  }
-  core::CopyAttackConfig config;
-  if (name == "CopyAttack-Masking") {
-    config.use_masking = false;
-  } else if (name == "CopyAttack-Length") {
-    config.use_crafting = false;
-  } else {
-    CA_CHECK_EQ(name, std::string("CopyAttack")) << "unknown method";
-  }
-  return std::make_unique<core::CopyAttack>(dataset, tree, user_emb,
-                                            item_emb, config, seed);
-}
-
-std::size_t EpisodesForMethod(const std::string& name,
-                              std::size_t learning_episodes) {
-  if (name == "RandomAttack" || util::StartsWith(name, "TargetAttack")) {
-    return 1;  // non-learning baselines
-  }
-  return learning_episodes;
 }
 
 core::CampaignConfig DefaultCampaign(std::uint64_t seed) {
@@ -165,15 +112,18 @@ void RunBudgetSweep(const data::SyntheticConfig& config,
   std::printf("\n");
 
   for (const std::string& method : methods) {
+    const serve::StrategySpec spec =
+        serve::MakeStrategyFactory(bw.world.dataset, bw.artifacts, method);
+    CA_CHECK(spec.factory) << spec.error;
     std::vector<double> hr_series, ndcg_series;
     for (const std::size_t budget : budgets) {
       core::CampaignConfig campaign = DefaultCampaign(4242);
       campaign.env.budget = budget;
-      campaign.episodes = EpisodesForMethod(method, campaign.episodes);
-      const auto result = core::RunCampaign(
-          bw.world.dataset, bw.split.train, bw.ModelFactory(),
-          [&](std::uint64_t seed) { return MakeStrategy(method, bw, seed); },
-          targets, campaign);
+      if (!spec.learns) campaign.episodes = 1;
+      const auto result =
+          core::RunCampaign(bw.world.dataset, bw.split.train,
+                            bw.ModelFactory(), spec.factory, targets,
+                            campaign);
       hr_series.push_back(result.metrics.at(20).hr);
       ndcg_series.push_back(result.metrics.at(20).ndcg);
       csv.WriteRow({config.name, method, std::to_string(budget),

@@ -5,9 +5,6 @@
 #include <string>
 #include <vector>
 
-#include "core/baselines.h"
-#include "core/copy_attack.h"
-#include "core/flat_policy.h"
 #include "core/runner.h"
 #include "data/split.h"
 #include "data/synthetic.h"
@@ -47,19 +44,6 @@ struct BenchWorld {
 /// depth (paper: 3 for the small pair, 6 for the large pair).
 BenchWorld BuildBenchWorld(const data::SyntheticConfig& config,
                            std::size_t tree_depth);
-
-/// The method names of Table 2, in paper order (excluding WithoutAttack,
-/// which the runner handles separately).
-const std::vector<std::string>& Table2Methods();
-
-/// Instantiates an attack strategy by its Table-2 name.
-std::unique_ptr<core::AttackStrategy> MakeStrategy(const std::string& name,
-                                                   const BenchWorld& bw,
-                                                   std::uint64_t seed);
-
-/// Episodes a method trains for (1 for non-learning baselines).
-std::size_t EpisodesForMethod(const std::string& name,
-                              std::size_t learning_episodes);
 
 /// Default campaign configuration used across the experiment binaries
 /// (paper §5.1.3: budget 30, query every 3 injections, 50 pretend users).

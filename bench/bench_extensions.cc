@@ -9,9 +9,11 @@
 #include <cstdio>
 #include <memory>
 
+#include "core/copy_attack.h"
 #include "core/proxy.h"
 #include "data/target_items.h"
 #include "obs/time.h"
+#include "serve/attack_server.h"
 #include "util/csv.h"
 
 #include "bench_common.h"
@@ -81,9 +83,8 @@ void RunDemotionExperiment(const bench::BenchWorld& bw,
       campaign);
   const auto attacked = core::RunCampaign(
       bw.world.dataset, bw.split.train, bw.ModelFactory(),
-      [&](std::uint64_t seed) {
-        return bench::MakeStrategy("CopyAttack", bw, seed);
-      },
+      serve::MakeStrategyFactory(bw.world.dataset, bw.artifacts, "CopyAttack")
+          .factory,
       popular, campaign);
   std::printf("   HR@20 of demoted items: %s -> %s (lower is a stronger "
               "demotion)\n",

@@ -9,6 +9,7 @@
 
 #include "data/target_items.h"
 #include "obs/time.h"
+#include "serve/attack_server.h"
 #include "util/csv.h"
 
 #include "bench_common.h"
@@ -33,9 +34,9 @@ void RunDataset(const copyattack::data::SyntheticConfig& config,
     const core::CampaignConfig campaign = bench::DefaultCampaign(4242);
     const auto result = core::RunCampaign(
         bw.world.dataset, bw.split.train, bw.ModelFactory(),
-        [&](std::uint64_t seed) {
-          return bench::MakeStrategy("CopyAttack", bw, seed);
-        },
+        serve::MakeStrategyFactory(bw.world.dataset, bw.artifacts,
+                                   "CopyAttack")
+            .factory,
         targets, campaign);
 
     std::printf("%-5zu  %-9zu  %s  %s   %.1f\n", depth,

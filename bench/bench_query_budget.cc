@@ -10,6 +10,7 @@
 
 #include "data/target_items.h"
 #include "obs/time.h"
+#include "serve/attack_server.h"
 #include "util/csv.h"
 
 #include "bench_common.h"
@@ -36,9 +37,9 @@ int main(int argc, char** argv) {
     campaign.env.max_query_rounds = rounds;  // 0 = unlimited
     const auto result = core::RunCampaign(
         bw.world.dataset, bw.split.train, bw.ModelFactory(),
-        [&](std::uint64_t seed) {
-          return bench::MakeStrategy("CopyAttack", bw, seed);
-        },
+        serve::MakeStrategyFactory(bw.world.dataset, bw.artifacts,
+                                   "CopyAttack")
+            .factory,
         targets, campaign);
     if (rounds == 0) {
       std::printf("unlimited                 ");

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 
+#include "core/copy_attack.h"
 #include "data/target_items.h"
 #include "obs/time.h"
 #include "util/csv.h"

@@ -16,11 +16,20 @@
 
 #include "data/target_items.h"
 #include "obs/time.h"
+#include "serve/attack_server.h"
+#include "util/check.h"
 #include "util/csv.h"
 
 #include "bench_common.h"
 
 namespace {
+
+/// The attacking methods of Table 2, in paper order. WithoutAttack is
+/// evaluated separately, before them.
+constexpr const char* kMethods[] = {
+    "RandomAttack",      "TargetAttack40",     "TargetAttack70",
+    "TargetAttack100",   "PolicyNetwork",      "CopyAttack-Masking",
+    "CopyAttack-Length", "CopyAttack"};
 
 void RunDataset(const copyattack::data::SyntheticConfig& config,
                 std::size_t tree_depth, std::size_t num_targets,
@@ -53,16 +62,15 @@ void RunDataset(const copyattack::data::SyntheticConfig& config,
   emit(core::EvaluateWithoutAttack(bw.world.dataset, bw.split.train,
                                    bw.ModelFactory(), targets, base));
 
-  for (const std::string& method : bench::Table2Methods()) {
+  for (const char* method : kMethods) {
+    const serve::StrategySpec spec =
+        serve::MakeStrategyFactory(bw.world.dataset, bw.artifacts, method);
+    CA_CHECK(spec.factory) << spec.error;
     core::CampaignConfig campaign = base;
-    campaign.episodes = bench::EpisodesForMethod(method, base.episodes);
-    const auto result = core::RunCampaign(
-        bw.world.dataset, bw.split.train, bw.ModelFactory(),
-        [&](std::uint64_t seed) {
-          return bench::MakeStrategy(method, bw, seed);
-        },
-        targets, campaign);
-    emit(result);
+    if (!spec.learns) campaign.episodes = 1;
+    emit(core::RunCampaign(bw.world.dataset, bw.split.train,
+                           bw.ModelFactory(), spec.factory, targets,
+                           campaign));
   }
 }
 

@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "core/baselines.h"
 #include "data/target_items.h"
 #include "obs/time.h"
 #include "rec/item_knn.h"

@@ -21,9 +21,6 @@ int main(int argc, char** argv) {
 
   std::printf("=== Pre-attack target model quality (paper §5.1.3) ===\n\n");
   std::printf("paper: HR@10 = 0.549 (ML10M), 0.5474 (ML20M)\n\n");
-  // Named target_quality.csv (not target_model.csv) so it cannot be
-  // confused with bench_target_models' per-model attack ablation
-  // (target_models.csv).
   util::CsvWriter csv(bench::ResultPath("target_quality.csv"),
                       {"dataset", "epochs", "valid_hr10", "test_hr10",
                        "test_ndcg10"});
@@ -50,7 +47,7 @@ int main(int argc, char** argv) {
                   bench::F4(bw.train_report.test_ndcg)});
   }
   csv.Flush();
-  std::printf("\n[target_model] done in %.1fs; CSV: "
+  std::printf("\n[target_quality] done in %.1fs; CSV: "
               "bench_results/target_quality.csv\n",
               watch.ElapsedSeconds());
   return 0;

@@ -252,7 +252,7 @@ void CopyAttack::UpdatePolicies(
 
   for (std::size_t t = 0; t < trajectory.size(); ++t) {
     const double advantage = returns[t] - baseline_value;
-    if (advantage == 0.0) continue;  // lint:allow(float-eq): zero-advantage skip
+    if (advantage == 0.0) continue;  // analyze:allow(float-eq): zero-advantage skip
     if (trajectory[t].selection.has_value()) {
       selection_->AccumulateGradients(*trajectory[t].selection, advantage);
     }

@@ -159,7 +159,7 @@ void FlatPolicyNetwork::UpdatePolicies(
   const std::size_t embed_dim = item_embeddings_->cols();
   for (std::size_t t = 0; t < trajectory.size(); ++t) {
     const double advantage = returns[t] - baseline_value;
-    if (advantage == 0.0) continue;  // lint:allow(float-eq): zero-advantage skip
+    if (advantage == 0.0) continue;  // analyze:allow(float-eq): zero-advantage skip
     const StepRecord& step = trajectory[t];
     if (step.has_selection) {
       nn::RnnContext rnn_ctx;

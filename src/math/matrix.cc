@@ -91,7 +91,7 @@ Matrix Matrix::Multiply(const Matrix& a, const Matrix& b) {
     float* crow = c.Row(i);
     for (std::size_t k = 0; k < a.cols(); ++k) {
       const float aik = arow[k];
-      if (aik == 0.0f) continue;  // lint:allow(float-eq): sparsity skip
+      if (aik == 0.0f) continue;  // analyze:allow(float-eq): sparsity skip
       const float* brow = b.Row(k);
       for (std::size_t j = 0; j < b.cols(); ++j) {
         crow[j] += aik * brow[j];

@@ -69,7 +69,7 @@ std::vector<std::size_t> Histogram(const std::vector<double>& values,
   const double width = (*max_it - lo) / static_cast<double>(bins);
   for (const double v : values) {
     std::size_t bin =
-        width == 0.0  // lint:allow(float-eq): degenerate-range sentinel
+        width == 0.0  // analyze:allow(float-eq): degenerate-range sentinel
             ? 0
             : static_cast<std::size_t>((v - lo) / width);
     if (bin >= bins) bin = bins - 1;

@@ -122,7 +122,7 @@ std::size_t ArgMax(const std::vector<float>& values) {
 void NormalizeL2(float* v, std::size_t n) {
   double sum = 0.0;
   for (std::size_t i = 0; i < n; ++i) sum += static_cast<double>(v[i]) * v[i];
-  if (sum == 0.0) return;  // lint:allow(float-eq): nothing to normalize
+  if (sum == 0.0) return;  // analyze:allow(float-eq): nothing to normalize
   const float inv = static_cast<float>(1.0 / std::sqrt(sum));
   for (std::size_t i = 0; i < n; ++i) v[i] *= inv;
 }

@@ -34,7 +34,7 @@ void DenseLayer::Backward(const std::vector<float>& in,
   CA_CHECK_EQ(dout.size(), out_dim_);
   for (std::size_t o = 0; o < out_dim_; ++o) {
     const float g = dout[o];
-    if (g == 0.0f) continue;  // lint:allow(float-eq): sparsity skip
+    if (g == 0.0f) continue;  // analyze:allow(float-eq): sparsity skip
     bias_.grad(0, o) += g;
     math::Axpy(g, in.data(), weight_.grad.Row(o), in_dim_);
   }
@@ -42,7 +42,7 @@ void DenseLayer::Backward(const std::vector<float>& in,
     din->assign(in_dim_, 0.0f);
     for (std::size_t o = 0; o < out_dim_; ++o) {
       const float g = dout[o];
-      if (g == 0.0f) continue;  // lint:allow(float-eq): sparsity skip
+      if (g == 0.0f) continue;  // analyze:allow(float-eq): sparsity skip
       math::Axpy(g, weight_.value.Row(o), din->data(), in_dim_);
     }
   }

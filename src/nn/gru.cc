@@ -117,7 +117,7 @@ void GruEncoder::Backward(const GruContext& context,
     // Through the candidate gate: pre_h = Wh x + Uh (r o h_prev) + bh.
     for (std::size_t i = 0; i < hidden_dim_; ++i) {
       const float g = dpre_h[i];
-      if (g == 0.0f) continue;  // lint:allow(float-eq): sparsity skip
+      if (g == 0.0f) continue;  // analyze:allow(float-eq): sparsity skip
       bh_.grad(0, i) += g;
       math::Axpy(g, x.data(), wh_.grad.Row(i), input_dim_);
       for (std::size_t j = 0; j < hidden_dim_; ++j) {
@@ -134,14 +134,14 @@ void GruEncoder::Backward(const GruContext& context,
     // Through the reset and update gates: pre = W x + U h_prev + b.
     for (std::size_t i = 0; i < hidden_dim_; ++i) {
       const float gr = dpre_r[i];
-      if (gr != 0.0f) {  // lint:allow(float-eq): sparsity skip
+      if (gr != 0.0f) {  // analyze:allow(float-eq): sparsity skip
         br_.grad(0, i) += gr;
         math::Axpy(gr, x.data(), wr_.grad.Row(i), input_dim_);
         math::Axpy(gr, h_prev.data(), ur_.grad.Row(i), hidden_dim_);
         math::Axpy(gr, ur_.value.Row(i), dprev.data(), hidden_dim_);
       }
       const float gz = dpre_z[i];
-      if (gz != 0.0f) {  // lint:allow(float-eq): sparsity skip
+      if (gz != 0.0f) {  // analyze:allow(float-eq): sparsity skip
         bz_.grad(0, i) += gz;
         math::Axpy(gz, x.data(), wz_.grad.Row(i), input_dim_);
         math::Axpy(gz, h_prev.data(), uz_.grad.Row(i), hidden_dim_);

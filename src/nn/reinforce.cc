@@ -42,7 +42,7 @@ std::vector<float> PolicyGradientLogits(const std::vector<float>& probs,
 void AddEntropyBonusGrad(const std::vector<float>& probs, double beta,
                          const std::vector<bool>& mask,
                          std::vector<float>& dlogits) {
-  if (beta == 0.0) return;  // lint:allow(float-eq): exact-zero disables baseline
+  if (beta == 0.0) return;  // analyze:allow(float-eq): exact-zero disables baseline
   CA_CHECK_EQ(probs.size(), dlogits.size());
   CA_CHECK_EQ(probs.size(), mask.size());
   double entropy = 0.0;

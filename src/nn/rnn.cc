@@ -66,7 +66,7 @@ void RnnEncoder::Backward(const RnnContext& context,
     std::vector<float> dprev(hidden_dim_, 0.0f);
     for (std::size_t h = 0; h < hidden_dim_; ++h) {
       const float g = dpre[h];
-      if (g == 0.0f) continue;  // lint:allow(float-eq): sparsity skip
+      if (g == 0.0f) continue;  // analyze:allow(float-eq): sparsity skip
       bias_.grad(0, h) += g;
       math::Axpy(g, input.data(), wx_.grad.Row(h), input_dim_);
       if (prev_hidden != nullptr) {

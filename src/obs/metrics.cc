@@ -99,7 +99,7 @@ const std::vector<double>& UnitIntervalBuckets() {
 
 MetricsRegistry& MetricsRegistry::Global() {
   static MetricsRegistry* const registry =
-      new MetricsRegistry();  // lint:allow(raw-new): process-lifetime singleton
+      new MetricsRegistry();  // analyze:allow(raw-new): process-lifetime singleton
   return *registry;
 }
 

@@ -36,7 +36,7 @@ std::uint32_t CurrentSpanDepth() { return t_span_depth; }
 
 TraceRecorder& TraceRecorder::Global() {
   static TraceRecorder* const recorder =
-      new TraceRecorder();  // lint:allow(raw-new): process-lifetime singleton
+      new TraceRecorder();  // analyze:allow(raw-new): process-lifetime singleton
   return *recorder;
 }
 

@@ -83,7 +83,7 @@ double Rng::Normal() {
     u = UniformDouble(-1.0, 1.0);
     v = UniformDouble(-1.0, 1.0);
     s = u * u + v * v;
-  } while (s >= 1.0 || s == 0.0);  // lint:allow(float-eq): polar-method rejection guard
+  } while (s >= 1.0 || s == 0.0);  // analyze:allow(float-eq): polar-method rejection guard
   const double factor = std::sqrt(-2.0 * std::log(s) / s);
   cached_normal_ = v * factor;
   has_cached_normal_ = true;

@@ -100,7 +100,7 @@ void ThreadPool::WorkerLoop() {
 }
 
 ThreadPool& ThreadPool::Shared() {
-  static ThreadPool* const pool = new ThreadPool(  // lint:allow(raw-new): process-lifetime singleton
+  static ThreadPool* const pool = new ThreadPool(  // analyze:allow(raw-new): process-lifetime singleton
       std::max<std::size_t>(1, std::thread::hardware_concurrency()));
   return *pool;
 }

@@ -2,8 +2,8 @@
 // (tools/analyze/tokenizer.h): the translation-phase cases that the
 // regex-era linter misread — raw strings, line splices, CRLF files, block
 // comments spanning would-be rule matches — plus the blanked per-line view
-// the migrated linter matches against, the scope scanner, and the
-// layers.toml parser.
+// the lint pass matches against, the scope scanner, the layers.toml parser,
+// the call graph, and the lint pass's rules over its seeded fixture.
 
 #include <algorithm>
 #include <sstream>
@@ -13,6 +13,7 @@
 #include "analyze/analysis.h"
 #include "analyze/callgraph.h"
 #include "analyze/layers.h"
+#include "analyze/passes.h"
 #include "analyze/report.h"
 #include "analyze/structure.h"
 #include "analyze/tokenizer.h"
@@ -717,6 +718,93 @@ TEST(CallGraphTest, MacroArgumentCallsBecomeEdges) {
        "void F(int x) { CA_CHECK(Validate(x)); }\n"},
   });
   EXPECT_TRUE(HasEdge(built.graph, "F", "Validate"));
+}
+
+// ---- Lint pass ------------------------------------------------------------
+
+/// The lint fixture (tools/analyze/fixtures/lint), loaded under the same
+/// root-relative paths the analyzer gives it.
+SourceTree LintFixture(const std::vector<std::string>& rel_paths) {
+  SourceTree tree;
+  for (const std::string& rel_path : rel_paths) {
+    ScannedFile file{rel_path, {}};
+    std::string error;
+    EXPECT_TRUE(LexFileFromDisk(
+        std::string(CA_LINT_FIXTURE_DIR) + "/" + rel_path, &file.lexed,
+        &error))
+        << error;
+    tree.files.push_back(std::move(file));
+  }
+  return tree;
+}
+
+std::vector<Violation> LintOf(const SourceTree& tree) {
+  std::vector<Violation> violations;
+  RunLintPass(tree, &violations);
+  return violations;
+}
+
+TEST(LintPassTest, EachRuleFiresOnceOnItsSeededLine) {
+  const std::vector<Violation> violations = LintOf(LintFixture(
+      {"src/seeded_violations.h", "src/core/raw_clock_violation.h"}));
+  const std::vector<std::pair<std::string, std::size_t>> expected = {
+      {"header-guard", 10}, {"std-rand", 11}, {"raw-new", 19},
+      {"printf-family", 23}, {"float-eq", 27}, {"raw-clock", 12},
+  };
+  ASSERT_EQ(violations.size(), expected.size());
+  for (const auto& [rule, line] : expected) {
+    const auto hits = std::count_if(
+        violations.begin(), violations.end(),
+        [&](const Violation& v) { return v.rule == rule; });
+    EXPECT_EQ(hits, 1) << rule;
+    for (const Violation& v : violations) {
+      if (v.rule == rule) {
+        EXPECT_EQ(v.line, line) << rule;
+      }
+    }
+  }
+  for (const Violation& v : violations) {
+    EXPECT_EQ(v.rule == "raw-clock",
+              v.file == "src/core/raw_clock_violation.h")
+        << v.rule;
+  }
+}
+
+TEST(LintPassTest, NearMissCorpusIsClean) {
+  for (const Violation& v : LintOf(LintFixture({"src/clean_example.cc"}))) {
+    ADD_FAILURE() << v.file << ":" << v.line << ": [" << v.rule << "] "
+                  << v.message;
+  }
+}
+
+TEST(LintPassTest, AllowMarkerSuppressesFloatEq) {
+  const std::string code = "bool Zero(double g) { return g == 0.0; }";
+  SourceTree tree;
+  tree.files.push_back({"src/nn/a.cc", LexString("src/nn/a.cc", code)});
+  tree.files.push_back(
+      {"src/nn/b.cc",
+       LexString("src/nn/b.cc",
+                 code + "  // analyze:allow(float-eq): sparsity skip")});
+  const std::vector<Violation> violations = LintOf(tree);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].file, "src/nn/a.cc");
+  EXPECT_EQ(violations[0].rule, "float-eq");
+}
+
+TEST(LintPassTest, WallClockSeedingIsLeftToTheDeterminismPass) {
+  // The lint pass has no wall-clock rule: time(nullptr) seeding is
+  // det-raw-entropy, which also covers tools/, bench/ and tests/.
+  const SourceTree tree = LintFixture({"src/seeded_violations.h"});
+  std::vector<FileStructure> structures;
+  for (const ScannedFile& file : tree.files) {
+    structures.push_back(ScanStructure(file.lexed));
+  }
+  std::vector<Violation> violations;
+  RunDeterminismPass(tree, structures, &violations);
+  ASSERT_EQ(violations.size(), 1u);
+  EXPECT_EQ(violations[0].rule, "det-raw-entropy");
+  EXPECT_EQ(violations[0].line, 15u);
+  for (const Violation& v : LintOf(tree)) EXPECT_NE(v.line, 15u) << v.rule;
 }
 
 }  // namespace

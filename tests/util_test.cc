@@ -534,7 +534,7 @@ TEST(RngStateTest, SaveRestorePreservesCachedNormal) {
   const double expected = rng.Normal();
   Rng other(2);
   other.RestoreState(state);
-  EXPECT_EQ(other.Normal(), expected);  // lint:allow(float-eq) exact replay
+  EXPECT_EQ(other.Normal(), expected);  // exact replay
 }
 
 }  // namespace

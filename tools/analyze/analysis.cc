@@ -224,6 +224,22 @@ const std::vector<RuleInfo>& RuleCatalogue() {
       {"rng-fork-in-stream", "rng",
        "Rng::Fork in stream-scoped campaign code (draw-order dependent; "
        "breaks shard/resume invariance — derive a stream seed instead)"},
+      {"std-rand", "lint",
+       "std::rand / srand / rand_r (all randomness flows through "
+       "util::Rng)"},
+      {"raw-new", "lint",
+       "raw new / delete outside an annotated process-lifetime singleton"},
+      {"printf-family", "lint",
+       "direct stdio output outside util/logging, util/check and "
+       "util/string_utils (route through CA_LOG)"},
+      {"header-guard", "lint",
+       "header opens without `#pragma once` or a COPYATTACK_*_H_ include "
+       "guard"},
+      {"float-eq", "lint",
+       "== / != against a floating-point literal outside an annotated "
+       "sparsity/sentinel guard"},
+      {"raw-clock", "lint",
+       "std::chrono clock read in core/ or rec/ (time through src/obs)"},
   };
   return kRules;
 }

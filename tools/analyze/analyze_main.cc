@@ -10,12 +10,14 @@
 // (seed and RNG discipline), checkpoint (CA_CHECKPOINTED save/load
 // coverage), lockorder (CA_ACQUIRED_BEFORE acquisition graph), oracle
 // (metered-oracle access via the call graph), hotpath (CA_HOT_PATH purity),
-// rng (DeriveStreamSeed provenance in stream-scoped campaign code). The
-// call graph is built once, on demand, when any graph-based pass runs; its
-// resolution stats land in the JSON report. Default targets: src tools
-// bench tests examples (whichever exist under the root). With --baseline,
-// grandfathered findings do not fail the run but stale baseline entries
-// do. Exit codes: 0 clean, 1 violations, 2 usage/configuration error.
+// rng (DeriveStreamSeed provenance in stream-scoped campaign code), lint
+// (line rules over src/: rand, raw new, stdio, header guards, float
+// compares, raw clocks in core/rec). The call graph is built once, on
+// demand, when any graph-based pass runs; its resolution stats land in the
+// JSON report. Default targets: src tools bench tests examples (whichever
+// exist under the root). With --baseline, grandfathered findings do not
+// fail the run but stale baseline entries do. Exit codes: 0 clean,
+// 1 violations, 2 usage/configuration error.
 
 #include <chrono>
 #include <filesystem>
@@ -38,7 +40,7 @@ using namespace copyattack::analyze;  // tool entry point, not library code
 /// error message) and PassEnabled, so the two can never drift apart.
 constexpr const char* kPassNames[] = {
     "include", "thread", "determinism", "checkpoint",
-    "lockorder", "oracle", "hotpath", "rng",
+    "lockorder", "oracle", "hotpath", "rng", "lint",
 };
 
 bool IsKnownPass(const std::string& pass) {
@@ -63,8 +65,7 @@ struct Options {
   std::string format = "text";
   std::string baseline_path;  // empty = no baseline gating
   std::vector<std::string> passes;  // empty = all
-  std::vector<std::string> excludes = {"tools/analyze/fixtures/",
-                                       "tools/lint_selftest/"};
+  std::vector<std::string> excludes = {"tools/analyze/fixtures/"};
   std::vector<std::string> targets;
   bool list_rules = false;
 };
@@ -221,6 +222,7 @@ int main(int argc, char** argv) {
         [&] { RunCheckpointPass(tree, structures, &violations); });
   timed("lockorder",
         [&] { RunLockOrderPass(tree, structures, &violations); });
+  timed("lint", [&] { RunLintPass(tree, &violations); });
 
   // Graph-based passes (ISSUE 9). The call graph is built once, timed as
   // its own entry, and only when at least one of them is enabled.

@@ -1,9 +1,7 @@
-// Conforming counterpart in the self-test fixture: patterns that look close
-// to the banned ones but must NOT fire. If the linter starts flagging any
-// of these, its matching got too greedy (the WILL_FAIL test still fails
-// "correctly" because seeded_violations.h fires, so this file is defense in
-// depth for reviewing linter changes by hand:
-// `lint_copyattack tools/lint_selftest/clean_example.cc` must exit 0).
+// Conforming counterpart in the lint fixture: patterns that look close to
+// the banned ones but must NOT fire. analyze_tokenizer_test runs the lint
+// pass over this corpus and requires zero findings; if it starts flagging
+// any of these, its matching got too greedy.
 
 #include <cstddef>
 #include <memory>
@@ -32,10 +30,10 @@ inline bool NearOne(double value) {
 }
 
 inline bool ExactZeroGradientSkip(float gradient) {
-  return gradient == 0.0f;  // lint:allow(float-eq): sparsity guard example
+  return gradient == 0.0f;  // analyze:allow(float-eq): sparsity guard example
 }
 
-// Raw strings are opaque to the tokenizer-backed linter: banned patterns
+// Raw strings are opaque to the tokenizer-backed lint pass: banned patterns
 // inside them — including the quote-confusing `")` sequence that broke the
 // regex-era stripper — must not fire any rule.
 inline const char* kRawBanner = R"(std::rand() time(nullptr) printf("%d"))";

@@ -1,10 +1,10 @@
-#ifndef COPYATTACK_TOOLS_LINT_SELFTEST_CORE_RAW_CLOCK_VIOLATION_H_
-#define COPYATTACK_TOOLS_LINT_SELFTEST_CORE_RAW_CLOCK_VIOLATION_H_
+#ifndef COPYATTACK_CORE_RAW_CLOCK_VIOLATION_H_
+#define COPYATTACK_CORE_RAW_CLOCK_VIOLATION_H_
 
 // Deliberately non-conforming fixture for the raw-clock rule: this file
 // lives under a `core/` path, where std::chrono clock reads are banned in
 // favor of the obs timing facility. NOT compiled into any target; the
-// lint_copyattack_selftest ctest (WILL_FAIL) asserts the rule fires here.
+// analyze_selftest_lint ctest (WILL_FAIL) runs the analyzer over it.
 
 #include <chrono>
 
@@ -14,4 +14,4 @@ inline long SeededRawClock() {
       .count();
 }
 
-#endif  // COPYATTACK_TOOLS_LINT_SELFTEST_CORE_RAW_CLOCK_VIOLATION_H_
+#endif  // COPYATTACK_CORE_RAW_CLOCK_VIOLATION_H_

@@ -1,8 +1,8 @@
-// Deliberately non-conforming fixture for the lint_copyattack self-test.
-// NOT compiled into any target — ctest runs the linter over this directory
-// with WILL_FAIL, so the build goes red if any rule below stops firing.
-// Every block is one banned pattern; keep exactly one violation per rule so
-// a regression is attributable.
+// Deliberately non-conforming fixture for the lint pass. NOT compiled into
+// any target — ctest runs copyattack-analyze over this fixture with
+// WILL_FAIL, and analyze_tokenizer_test pins each rule to its line. Every
+// block is one banned pattern; keep exactly one violation per rule so a
+// regression is attributable.
 
 // header-guard: this header intentionally has neither `#pragma once` nor a
 // COPYATTACK_*_H_ include guard.
@@ -12,7 +12,7 @@ inline int SeededStdRand() {
 }
 
 inline unsigned SeededTimeSeed() {
-  return static_cast<unsigned>(time(nullptr));  // time-seed: wall clock
+  return static_cast<unsigned>(time(nullptr));  // det-raw-entropy
 }
 
 inline int* SeededRawNew() {

@@ -17,7 +17,8 @@
 /// flagged. String-stream formatting is allowed (checkpoint blobs);
 /// file/console streams are not. ALL_CAPS macro interiors (CA_CHECK,
 /// OBS_SPAN) are invisible to the token-level graph by design — the obs
-/// macros are separately perf-gated by perf_smoke.
+/// macros' cost is measured end to end by perfbench's
+/// obs.trace_overhead_share.
 
 namespace copyattack::analyze {
 

@@ -101,6 +101,15 @@ void RunRngProvenancePass(const SourceTree& tree,
                           const std::vector<FileStructure>& structures,
                           std::vector<Violation>* violations);
 
+/// Lint pass: line rules over each src/ file's blanked code lines — the C
+/// rand family, raw new/delete, stdio output outside util/logging,
+/// util/check and util/string_utils, headers without `#pragma once` or a
+/// COPYATTACK_*_H_ guard, exact compares against float literals, and
+/// std::chrono clock reads in core/ or rec/ (timing goes through src/obs).
+/// Rules: std-rand, raw-new, printf-family, header-guard, float-eq,
+/// raw-clock.
+void RunLintPass(const SourceTree& tree, std::vector<Violation>* violations);
+
 }  // namespace copyattack::analyze
 
 #endif  // COPYATTACK_TOOLS_ANALYZE_PASSES_H_

@@ -2,9 +2,12 @@
 # End-to-end correctness gate: "clean under check_all" is this repo's
 # definition of green. Runs, in order:
 #
-#   1. the repo-invariant linter + copyattack-analyze semantic passes
-#      (fast fail before any long build; JSON report → build/reports/)
-#   2. release preset  — -Werror wall, unit + lint suites
+#   1. copyattack-analyze: the repo-invariant line rules and the
+#      semantic passes (fast fail before any long build; JSON report →
+#      build/reports/)
+#   2. release preset  — -Werror wall, unit + lint suites, then the smoke
+#                        runs (telemetry, arms race, chaos soak, and the
+#                        perfbench benchmark smoke test)
 #   3. asan-ubsan preset — full build, unit + lint suites under ASan/UBSan
 #   4. tsan preset     — full build, unit suite AND the `stress` label
 #                        (the stress suite runs ONLY here: TSan is the
@@ -43,16 +46,14 @@ run_preset() {
   ctest --preset "${preset}" -j "${jobs}" "${ctest_args[@]}"
 }
 
-# 1. Static analysis first: build just the lint tooling in the release
-# tree and run it on the tree so contract violations fail in seconds, not
-# after three builds. The semantic analyzer (layering, thread-safety
-# annotations, determinism discipline) also archives a machine-readable
-# report under build/reports/ for CI artifact upload.
-step "lint + analyze"
+# 1. Static analysis first: build just the analyzer in the release tree
+# and run it on the tree so contract violations fail in seconds, not
+# after three builds. It also archives a machine-readable report under
+# build/reports/ for CI artifact upload.
+step "analyze"
 cmake --preset release >/dev/null
 cmake --build --preset release --parallel "${jobs}" \
-  --target lint_copyattack copyattack-analyze
-./build/tools/lint_copyattack src
+  --target copyattack-analyze
 mkdir -p build/reports
 ./build/tools/analyze/copyattack-analyze --root=. --format=json \
   > build/reports/analyze_report.json \
@@ -174,6 +175,12 @@ chaos_soak() {
 
 chaos_soak release 20
 
+# 2e. Benchmark smoke: every perfbench workload, untraced and traced, on
+# the tiny world. perfbench builds its own tree from src/, so this is
+# what catches a src/ change that breaks the benchmark build.
+step "perfbench smoke"
+python3 perfbench/smoke_test.py
+
 if [[ "${quick}" == "1" ]]; then
   step "OK (quick: sanitizer presets skipped)"
   exit 0
@@ -260,4 +267,4 @@ chaos_soak tsan 20
 step "test [tsan] stress label"
 ctest --preset tsan-stress -j "${jobs}"
 
-step "OK (lint + release + asan-ubsan + tsan all green)"
+step "OK (analyze + release + asan-ubsan + tsan all green)"

@@ -7,16 +7,18 @@
 //
 // Rules:
 //   * headers must match exactly (same columns, same order);
-//   * rows are keyed by their non-numeric fields (in column order), so row
-//     order may differ but every baseline key must exist in the candidate
-//     and vice versa;
-//   * numeric fields must agree within the absolute tolerance OR, when
+//   * rows are keyed by their non-numeric and integer-spelled fields (in
+//     column order) — labels and sweep coordinates like a budget or a
+//     depth — so row order may differ but every baseline key must exist
+//     in the candidate and vice versa;
+//   * decimal fields must agree within the absolute tolerance OR, when
 //     --rtol is supplied, within the relative one: a pair passes if
 //     |e - a| <= tol or |e - a| <= rtol * max(|e|, |a|). The relative
 //     mode is for large-magnitude perf columns (latencies, throughputs)
 //     where a one-size absolute bound is either too loose near zero or
 //     too tight at scale;
-//   * non-numeric fields of matching keys must be identical.
+//   * key fields of matching rows must be identical (integer metrics,
+//     such as a count, are therefore exact).
 //
 // Exit status: 0 on match, 1 on any divergence (each printed to stderr),
 // 2 on usage/IO errors. The absolute tolerance is sized for the metric
@@ -40,13 +42,25 @@ bool ParseNumber(const std::string& field, double* value) {
   return end != nullptr && *end == '\0';
 }
 
-/// Concatenation of the row's non-numeric fields — the stable identity of
-/// a bench CSV row (e.g. "copied-raw" or "SurrogateTransfer|ZScore").
+/// True for fields that identify a row rather than measure it: anything
+/// non-numeric, and integers spelled as an optional sign plus digits.
+bool IsKeyField(const std::string& field) {
+  const std::size_t digits =
+      !field.empty() && (field[0] == '+' || field[0] == '-') ? 1 : 0;
+  if (digits < field.size() &&
+      field.find_first_not_of("0123456789", digits) == std::string::npos) {
+    return true;
+  }
+  double ignored;
+  return !ParseNumber(field, &ignored);
+}
+
+/// Concatenation of the row's key fields — the stable identity of a bench
+/// CSV row (e.g. "copied-raw|" or "SmallCross|RandomAttack|5|").
 std::string RowKey(const std::vector<std::string>& row) {
   std::string key;
   for (const std::string& field : row) {
-    double ignored;
-    if (ParseNumber(field, &ignored)) continue;
+    if (!IsKeyField(field)) continue;
     key += field;
     key += '|';
   }
@@ -168,15 +182,16 @@ int main(int argc, char** argv) {
       continue;
     }
     for (std::size_t c = 0; c < row.size(); ++c) {
+      const bool keyed = IsKeyField(row[c]);
       double expected, actual;
-      const bool numeric = ParseNumber(row[c], &expected);
-      if (numeric != ParseNumber(other[c], &actual)) {
+      if (keyed != IsKeyField(other[c])) {
         std::fprintf(stderr,
                      "csv_compare: row '%s' col %zu type differs "
                      "('%s' vs '%s')\n",
                      key.c_str(), c, row[c].c_str(), other[c].c_str());
         ++divergences;
-      } else if (numeric) {
+      } else if (!keyed && ParseNumber(row[c], &expected) &&
+                 ParseNumber(other[c], &actual)) {
         const double diff = std::fabs(expected - actual);
         const double scale = std::max(std::fabs(expected),
                                       std::fabs(actual));
