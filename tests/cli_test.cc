@@ -36,6 +36,27 @@ TEST(CliTest, HelpListsCommandsAndFlags) {
   EXPECT_EQ(RunTool({"help"}, &output), 0);
   EXPECT_NE(output.find("generate"), std::string::npos);
   EXPECT_NE(output.find("--budget"), std::string::npos);
+  EXPECT_NE(output.find("|recipe|"), std::string::npos);
+}
+
+TEST(CliTest, RecipeWithoutAKnownNameListsEveryRecipe) {
+  const char* const kRecipes[] = {
+      "table1_datasets",   "target_quality",       "table2_comparison",
+      "fig3_tree_depth",   "fig4_popularity",      "fig5_budget_small",
+      "fig6_budget_large", "policy_scaling",       "reward_shaping",
+      "target_models",     "defense_detectability", "arms_race_frontier",
+      "extensions",        "query_budget"};
+  const std::vector<std::vector<std::string>> invocations = {
+      {"recipe"}, {"recipe", "table3_missing"}};
+  for (const std::vector<std::string>& args : invocations) {
+    std::string output;
+    EXPECT_EQ(RunTool(args, &output), 2) << args.size();
+    for (const char* name : kRecipes) {
+      EXPECT_NE(output.find(std::string("  ") + name + ": "),
+                std::string::npos)
+          << name << " missing from:\n" << output;
+    }
+  }
 }
 
 TEST(CliTest, NoCommandPrintsHelp) {

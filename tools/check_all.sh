@@ -6,8 +6,9 @@
 #      semantic passes (fast fail before any long build; JSON report →
 #      build/reports/)
 #   2. release preset  — -Werror wall, unit + lint suites, then the smoke
-#                        runs (telemetry, arms race, chaos soak, and the
-#                        perfbench benchmark smoke test)
+#                        runs (telemetry, recipes and their exact
+#                        regeneration gates, chaos soak, and the perfbench
+#                        benchmark smoke test)
 #   3. asan-ubsan preset — full build, unit + lint suites under ASan/UBSan
 #   4. tsan preset     — full build, unit suite AND the `stress` label
 #                        (the stress suite runs ONLY here: TSan is the
@@ -118,15 +119,18 @@ cp "${telemetry_tmp}/telemetry/"{metrics.csv,summary.json,trace.json} \
   build/reports/telemetry_smoke/
 echo "telemetry smoke OK (artifacts archived at build/reports/telemetry_smoke/)"
 
-# 2c. Arms-race smoke + bench baseline gate (ISSUE 8): run the tiny
-# strategy-zoo x detector-zoo frontier end to end and schema-check its CSV
-# (all 9 cells present), then regenerate the deterministic
-# defense-detectability bench and compare it against the committed
-# baseline with a tolerance so metric drift is caught, not just crashes.
-step "arms race smoke + bench baseline gate"
+# 2c. Recipe smoke + regeneration gates: run the tiny strategy-zoo x
+# detector-zoo frontier end to end and schema-check its CSV (all 9 cells
+# present), then regenerate the deterministic recipes below and require
+# each to reproduce its committed CSV exactly (--tol=0), so drift in any
+# outcome is caught, not just crashes.
+step "recipe smoke + regeneration gates"
 bench_tmp="$(mktemp -d)"
-(cd "${bench_tmp}" && "${repo_root}/build/bench/bench_arms_race" \
-  --config=tiny >/dev/null)
+recipe() {
+  (cd "${bench_tmp}" && "${repo_root}/build/tools/copyattack" recipe "$@" \
+    >/dev/null)
+}
+recipe arms_race_frontier --config=tiny
 frontier="${bench_tmp}/bench_results/arms_race_frontier.csv"
 if [[ ! -s "${frontier}" ]]; then
   echo "check_all: arms-race smoke FAILED: missing ${frontier}" >&2
@@ -147,11 +151,13 @@ for cell in "CopyAttack,ZScore" "CopyAttack,kNN" "CopyAttack,Adaptive" \
   fi
 done
 cp "${frontier}" build/reports/arms_race_frontier_tiny.csv
-(cd "${bench_tmp}" && "${repo_root}/build/bench/bench_defense" >/dev/null)
-./build/tools/csv_compare bench_results/defense_detectability.csv \
-  "${bench_tmp}/bench_results/defense_detectability.csv" --tol=0.15
+for name in defense_detectability table1_datasets query_budget extensions; do
+  recipe "${name}"
+  ./build/tools/csv_compare "bench_results/${name}.csv" \
+    "${bench_tmp}/bench_results/${name}.csv" --tol=0
+done
 rm -rf "${bench_tmp}"
-echo "arms race smoke OK (9/9 cells; defense baseline within tolerance)"
+echo "recipe smoke OK (9/9 frontier cells; 4 recipes reproduce exactly)"
 
 # 2d. Process-level chaos soak (ISSUE 10): fork attack-server runs, kill
 # them at seeded random crash points (checkpoint rotation phases, shard

@@ -24,12 +24,16 @@
 #include "util/flags.h"
 #include "util/string_utils.h"
 
+#include "recipes.h"
+
 namespace copyattack::tools {
 namespace {
 
 util::FlagParser MakeParser() {
   util::FlagParser parser;
-  parser.Define("config", "small", "generate: world preset (small|large|tiny)")
+  parser.Define("config", "small",
+                "generate: world preset (small|large|tiny); recipe "
+                "arms_race_frontier: tiny|small")
       .Define("out", "world", "generate: output path prefix")
       .Define("data", "world", "stats/train/attack: dataset path prefix")
       .Define("seed", "7", "generate/attack: RNG seed")
@@ -78,7 +82,7 @@ util::FlagParser MakeParser() {
 
 int PrintHelp(const util::FlagParser& parser, std::ostream& out) {
   out << "usage: copyattack "
-         "<generate|stats|train|attack|attack-server|help> [flags]\n\n"
+         "<generate|stats|train|attack|attack-server|recipe|help> [flags]\n\n"
       << "flags:\n"
       << parser.HelpText();
   return 0;
@@ -131,26 +135,42 @@ int CmdStats(const util::FlagParser& parser, std::ostream& out) {
   return 0;
 }
 
+/// The black box the model commands train and attack: the target domain
+/// split 80/10/10 (seed 11) and the PinSage-style recommender trained on it
+/// with early stopping (seed 13).
+struct BlackBox {
+  data::TrainValidTestSplit split;
+  rec::PinSageLite model;
+  rec::TrainReport report;
+
+  core::ModelFactory Factory() const {
+    return [this] { return std::make_unique<rec::PinSageLite>(model); };
+  }
+};
+
+BlackBox TrainBlackBox(const data::Dataset& target,
+                       const rec::TrainOptions& options) {
+  util::Rng split_rng(11);
+  BlackBox box{data::SplitDataset(target, split_rng), rec::PinSageLite(), {}};
+  util::Rng train_rng(13);
+  box.report = rec::TrainWithEarlyStopping(box.model, box.split, target,
+                                           options, train_rng);
+  return box;
+}
+
 int CmdTrain(const util::FlagParser& parser, std::ostream& out) {
   data::CrossDomainDataset dataset("", 1);
   if (!LoadOrComplain(parser, &dataset, out)) return 1;
 
-  util::Rng split_rng(11);
-  const data::TrainValidTestSplit split =
-      data::SplitDataset(dataset.target, split_rng);
-
-  rec::PinSageLite model;
   rec::TrainOptions options;
   options.max_epochs = parser.GetSizeT("max-epochs");
   options.patience = parser.GetSizeT("patience");
-  util::Rng train_rng(13);
   obs::Stopwatch watch;
-  const rec::TrainReport report = rec::TrainWithEarlyStopping(
-      model, split, dataset.target, options, train_rng);
-  out << "epochs:        " << report.epochs_run << '\n'
-      << "valid HR@10:   " << report.best_valid_hr << '\n'
-      << "test  HR@10:   " << report.test_hr << '\n'
-      << "test  NDCG@10: " << report.test_ndcg << '\n'
+  const BlackBox box = TrainBlackBox(dataset.target, options);
+  out << "epochs:        " << box.report.epochs_run << '\n'
+      << "valid HR@10:   " << box.report.best_valid_hr << '\n'
+      << "test  HR@10:   " << box.report.test_hr << '\n'
+      << "test  NDCG@10: " << box.report.test_ndcg << '\n'
       << "wall seconds:  " << watch.ElapsedSeconds() << '\n';
   return 0;
 }
@@ -159,21 +179,10 @@ int CmdAttack(const util::FlagParser& parser, std::ostream& out) {
   data::CrossDomainDataset dataset("", 1);
   if (!LoadOrComplain(parser, &dataset, out)) return 1;
 
-  util::Rng split_rng(11);
-  const data::TrainValidTestSplit split =
-      data::SplitDataset(dataset.target, split_rng);
-
-  rec::PinSageLite model;
-  rec::TrainOptions train_options;
-  util::Rng train_rng(13);
-  const rec::TrainReport train_report = rec::TrainWithEarlyStopping(
-      model, split, dataset.target, train_options, train_rng);
-  out << "target model test HR@10: " << train_report.test_hr << '\n';
-
-  core::SourceArtifactOptions artifact_options;
-  artifact_options.tree_depth = parser.GetSizeT("depth");
-  const core::SourceArtifacts artifacts =
-      core::PrepareSourceArtifacts(dataset, artifact_options);
+  const BlackBox box = TrainBlackBox(dataset.target, rec::TrainOptions{});
+  out << "target model test HR@10: " << box.report.test_hr << '\n';
+  const core::SourceArtifacts artifacts = core::PrepareSourceArtifacts(
+      dataset, {.tree_depth = parser.GetSizeT("depth")});
 
   util::Rng target_rng(parser.GetSizeT("seed"));
   const auto targets = data::SampleColdTargetItems(
@@ -207,10 +216,6 @@ int CmdAttack(const util::FlagParser& parser, std::ostream& out) {
   campaign.checkpoint.resume = parser.GetBool("resume");
   campaign.checkpoint.every_episodes = parser.GetSizeT("checkpoint_every");
 
-  const core::ModelFactory model_factory = [&] {
-    return std::make_unique<rec::PinSageLite>(model);
-  };
-
   const std::string method = parser.GetString("method");
   const serve::StrategySpec spec =
       serve::MakeStrategyFactory(dataset, artifacts, method);
@@ -222,14 +227,14 @@ int CmdAttack(const util::FlagParser& parser, std::ostream& out) {
 
   out << core::CampaignRowHeader() << '\n';
   const auto clean = core::EvaluateWithoutAttack(
-      dataset, split.train, model_factory, targets, campaign);
+      dataset, box.split.train, box.Factory(), targets, campaign);
   out << core::FormatCampaignRow(clean) << '\n';
 
   core::ParallelRunnerOptions options;
   options.jobs = campaign.num_threads;
   options.checkpoint = campaign.checkpoint;
   const core::ParallelCampaignResult run =
-      core::ParallelCampaignRunner(dataset, split.train, model_factory,
+      core::ParallelCampaignRunner(dataset, box.split.train, box.Factory(),
                                    spec.factory, options)
           .Run(targets, campaign);
   const core::CampaignResult& attacked = run.aggregate;
@@ -275,23 +280,10 @@ int CmdAttackServer(const util::FlagParser& parser, std::ostream& out) {
     return 2;
   }
 
-  util::Rng split_rng(11);
-  const data::TrainValidTestSplit split =
-      data::SplitDataset(dataset.target, split_rng);
-  rec::PinSageLite model;
-  rec::TrainOptions train_options;
-  util::Rng train_rng(13);
-  const rec::TrainReport train_report = rec::TrainWithEarlyStopping(
-      model, split, dataset.target, train_options, train_rng);
-  out << "target model test HR@10: " << train_report.test_hr << '\n';
-
-  core::SourceArtifactOptions artifact_options;
-  artifact_options.tree_depth = parser.GetSizeT("depth");
-  const core::SourceArtifacts artifacts =
-      core::PrepareSourceArtifacts(dataset, artifact_options);
-  const core::ModelFactory model_factory = [&] {
-    return std::make_unique<rec::PinSageLite>(model);
-  };
+  const BlackBox box = TrainBlackBox(dataset.target, rec::TrainOptions{});
+  out << "target model test HR@10: " << box.report.test_hr << '\n';
+  const core::SourceArtifacts artifacts = core::PrepareSourceArtifacts(
+      dataset, {.tree_depth = parser.GetSizeT("depth")});
 
   serve::ServerConfig server_config;
   server_config.runner.jobs = parser.GetSizeT("jobs");
@@ -311,7 +303,7 @@ int CmdAttackServer(const util::FlagParser& parser, std::ostream& out) {
   for (serve::PromotionJob& job : jobs) queue.Push(std::move(job));
   queue.Close();
 
-  serve::AttackServer server(dataset, split.train, model_factory,
+  serve::AttackServer server(dataset, box.split.train, box.Factory(),
                              artifacts, server_config);
   out << "serving " << jobs.size() << " promotion jobs ("
       << server_config.runner.jobs << " worker threads)\n";
@@ -345,6 +337,23 @@ int CmdAttackServer(const util::FlagParser& parser, std::ostream& out) {
   return any_failed ? 1 : 0;
 }
 
+int CmdRecipe(const util::FlagParser& parser, std::ostream& out) {
+  const std::vector<std::string>& names = parser.positional();
+  const bench::Recipe* recipe =
+      names.size() == 1 ? bench::FindRecipe(names[0]) : nullptr;
+  if (recipe == nullptr) {
+    out << "error: "
+        << (names.empty() ? std::string("recipe needs a name")
+                          : "unknown recipe '" + util::Join(names, " ") + "'")
+        << "; recipes:\n";
+    for (const bench::Recipe& r : bench::Recipes()) {
+      out << "  " << r.name << ": " << r.doc << '\n';
+    }
+    return 2;
+  }
+  return bench::RunRecipe(*recipe, parser.GetString("config"), out);
+}
+
 }  // namespace
 
 int DispatchCommand(const util::FlagParser& parser, std::ostream& out) {
@@ -354,6 +363,7 @@ int DispatchCommand(const util::FlagParser& parser, std::ostream& out) {
   if (command == "train") return CmdTrain(parser, out);
   if (command == "attack") return CmdAttack(parser, out);
   if (command == "attack-server") return CmdAttackServer(parser, out);
+  if (command == "recipe") return CmdRecipe(parser, out);
   if (command.empty() || command == "help") {
     return PrintHelp(parser, out);
   }

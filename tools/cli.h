@@ -45,6 +45,12 @@ namespace copyattack::tools {
 ///       --checkpoint_root each job persists crash-safe checkpoints
 ///       under `<root>/job_<id>`; --resume continues interrupted jobs.
 ///
+///   copyattack recipe NAME [--config tiny|small]
+///       Regenerates one paper table/figure or ablation into
+///       ./bench_results/NAME.csv (bench/recipes.cc holds the table),
+///       echoing its rows. Without a known NAME, lists every recipe and
+///       exits 2. Only arms_race_frontier reads --config.
+///
 ///   copyattack help
 ///       Prints usage.
 ///

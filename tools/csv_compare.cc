@@ -1,6 +1,7 @@
-// csv_compare: tolerance-gated CSV regression check for the bench recipe
-// harness (ISSUE 8 satellite; first step toward the ROADMAP's
-// recipe-harness item).
+// csv_compare: the regeneration gate for the committed bench CSVs. A CSV
+// rewritten by `copyattack recipe <name>` is compared against its
+// committed baseline under bench_results/ (exactly, with --tol=0, for the
+// deterministic recipes).
 //
 // usage: csv_compare <baseline.csv> <candidate.csv> [--tol=0.15]
 //                    [--rtol=R]
