@@ -79,10 +79,15 @@ std::vector<data::ItemId> GoldenTargets() {
                                      rng);
 }
 
-StrategyFactory CopyAttackFactory() {
-  const auto& tw = SharedTinyWorld();
+CopyAttackConfig GoldenAgentConfig() {
   CopyAttackConfig agent_config;
   agent_config.learning_rate = 0.1f;
+  return agent_config;
+}
+
+StrategyFactory CopyAttackFactory(
+    const CopyAttackConfig& agent_config = GoldenAgentConfig()) {
+  const auto& tw = SharedTinyWorld();
   return [&tw, agent_config](std::uint64_t seed) {
     return std::make_unique<CopyAttack>(
         &tw.world.dataset, &tw.artifacts.tree,
@@ -112,6 +117,40 @@ TEST_F(GoldenOutcomeTest, CopyAttack) {
                   CopyAttackFactory(), GoldenTargets(), GoldenCampaign());
   EXPECT_EQ(result.method, "CopyAttack");
   ExpectGolden(result, kCopyAttackGolden);
+}
+
+// Unmasked walks: the policy may descend into any subtree, so the walk
+// visits tree nodes a masked campaign never reaches.
+TEST_F(GoldenOutcomeTest, CopyAttackWithoutMasking) {
+  const auto& tw = SharedTinyWorld();
+  CopyAttackConfig agent_config = GoldenAgentConfig();
+  agent_config.use_masking = false;
+  const CampaignResult result =
+      RunCampaign(tw.world.dataset, tw.split.train, tw.ModelFactory(),
+                  CopyAttackFactory(agent_config), GoldenTargets(),
+                  GoldenCampaign());
+  EXPECT_EQ(result.method, "CopyAttack-Masking");
+  ExpectGolden(result, {0x1.52cb209d987c3p-3, 0x1.1a7b9611a7b96p-5,
+                        0x1.78a4c8178a4c8p-8, 0x1.699670eca14bcp-5,
+                        0x1.76da0a9bb2eb9p-7, 0x1.23694cd235744p-9,
+                        0x1.1111111111111p-2, 0x1.2p+3, 0x1.2p+3});
+}
+
+// The gated encoder draws its initial weights from the same init stream
+// as the node MLPs, ahead of them.
+TEST_F(GoldenOutcomeTest, CopyAttackWithGruEncoder) {
+  const auto& tw = SharedTinyWorld();
+  CopyAttackConfig agent_config = GoldenAgentConfig();
+  agent_config.selection.encoder = SequenceEncoderType::kGru;
+  const CampaignResult result =
+      RunCampaign(tw.world.dataset, tw.split.train, tw.ModelFactory(),
+                  CopyAttackFactory(agent_config), GoldenTargets(),
+                  GoldenCampaign());
+  EXPECT_EQ(result.method, "CopyAttack");
+  ExpectGolden(result, {0x1.3b980d220a587p-2, 0x1.a55ebfda55ecp-4,
+                        0x1.17581466cad69p-6, 0x1.69706eab415dcp-4,
+                        0x1.2abed61dea094p-5, 0x1.0cd0de2b978d5p-7,
+                        0x1.7777777777778p-2, 0x1.2p+3, 0x1.2p+3});
 }
 
 TEST_F(GoldenOutcomeTest, TargetAttackUnderAggressiveFaults) {
