@@ -162,13 +162,7 @@ bool SurrogateTransferAttack::SaveState(std::ostream& out) {
             sizeof(best_seed_user_));
   out.write(reinterpret_cast<const char*>(&episodes_run_),
             sizeof(episodes_run_));
-  const util::RngState rng_state = ascent_rng_.SaveState();
-  out.write(reinterpret_cast<const char*>(rng_state.words),
-            sizeof(rng_state.words));
-  const std::uint8_t has_normal = rng_state.has_cached_normal ? 1 : 0;
-  out.write(reinterpret_cast<const char*>(&has_normal), sizeof(has_normal));
-  out.write(reinterpret_cast<const char*>(&rng_state.cached_normal),
-            sizeof(rng_state.cached_normal));
+  util::WriteRngState(out, ascent_rng_.SaveState());
   return static_cast<bool>(out);
 }
 
@@ -179,14 +173,7 @@ bool SurrogateTransferAttack::LoadState(std::istream& in) {
           sizeof(best_seed_user_));
   in.read(reinterpret_cast<char*>(&episodes_run_), sizeof(episodes_run_));
   util::RngState rng_state;
-  std::uint8_t has_normal = 0;
-  in.read(reinterpret_cast<char*>(rng_state.words),
-          sizeof(rng_state.words));
-  in.read(reinterpret_cast<char*>(&has_normal), sizeof(has_normal));
-  in.read(reinterpret_cast<char*>(&rng_state.cached_normal),
-          sizeof(rng_state.cached_normal));
-  if (!in) return false;
-  rng_state.has_cached_normal = has_normal != 0;
+  if (!util::ReadRngState(in, &rng_state)) return false;
   ascent_rng_.RestoreState(rng_state);
   return true;
 }

@@ -69,22 +69,6 @@ bool ReadString(std::istream& in, std::string* value) {
   return static_cast<bool>(in);
 }
 
-void WriteRngState(std::ostream& out, const util::RngState& state) {
-  for (const std::uint64_t word : state.words) WriteU64(out, word);
-  WriteU8(out, state.has_cached_normal ? 1 : 0);
-  WriteDouble(out, state.cached_normal);
-}
-
-bool ReadRngState(std::istream& in, util::RngState* state) {
-  for (std::uint64_t& word : state->words) {
-    if (!ReadU64(in, &word)) return false;
-  }
-  std::uint8_t cached = 0;
-  if (!ReadU8(in, &cached)) return false;
-  state->has_cached_normal = cached != 0;
-  return ReadDouble(in, &state->cached_normal);
-}
-
 void WriteMetrics(std::ostream& out, const rec::MetricsByK& metrics) {
   WriteU64(out, metrics.size());
   for (const auto& [k, m] : metrics) {
@@ -148,11 +132,11 @@ std::string SerializePayload(const CampaignCheckpoint& checkpoint) {
   if (progress.active) {
     WriteU64(out, progress.target_index);
     WriteU64(out, progress.episodes_done);
-    WriteRngState(out, progress.episode_rng);
+    util::WriteRngState(out, progress.episode_rng);
     WriteU64(out, progress.env.lifetime_queries);
     WriteU64(out, progress.env.episodes_begun);
     WriteU64(out, progress.env.proxy_reward_fallbacks);
-    WriteRngState(out, progress.env.refit_rng);
+    util::WriteRngState(out, progress.env.refit_rng);
     WriteString(out, progress.strategy_blob);
   }
   return out.str();
@@ -192,10 +176,10 @@ bool DeserializePayload(const std::string& payload,
     std::uint64_t lifetime_queries = 0, episodes_begun = 0;
     std::uint64_t proxy_reward_fallbacks = 0;
     if (!ReadU64(in, &target_index) || !ReadU64(in, &episodes_done) ||
-        !ReadRngState(in, &progress.episode_rng) ||
+        !util::ReadRngState(in, &progress.episode_rng) ||
         !ReadU64(in, &lifetime_queries) || !ReadU64(in, &episodes_begun) ||
         !ReadU64(in, &proxy_reward_fallbacks) ||
-        !ReadRngState(in, &progress.env.refit_rng) ||
+        !util::ReadRngState(in, &progress.env.refit_rng) ||
         !ReadString(in, &progress.strategy_blob)) {
       return false;
     }

@@ -196,22 +196,11 @@ data::Profile CopyAttack::BuildProfile(data::UserId user, util::Rng& rng,
   return profile;
 }
 
-bool CopyAttack::SaveCheckpoint(const std::string& path) {
-  nn::ParameterList params = selection_->AllParameters();
-  nn::AppendParameters(params, crafting_->Parameters());
-  return nn::SaveParameters(params, path);
-}
-
-bool CopyAttack::LoadCheckpoint(const std::string& path) {
-  nn::ParameterList params = selection_->AllParameters();
-  nn::AppendParameters(params, crafting_->Parameters());
-  return nn::LoadParameters(params, path);
-}
-
 bool CopyAttack::SaveState(std::ostream& out) {
-  nn::ParameterList params = selection_->AllParameters();
-  nn::AppendParameters(params, crafting_->Parameters());
-  if (!nn::SaveParameters(params, out)) return false;
+  if (!selection_->SaveState(out) ||
+      !nn::SaveParameters(crafting_->Parameters(), out)) {
+    return false;
+  }
   const nn::MovingBaseline::State baseline = baseline_.SaveState();
   out.write(reinterpret_cast<const char*>(&baseline.value),
             sizeof(baseline.value));
@@ -222,9 +211,10 @@ bool CopyAttack::SaveState(std::ostream& out) {
 }
 
 bool CopyAttack::LoadState(std::istream& in) {
-  nn::ParameterList params = selection_->AllParameters();
-  nn::AppendParameters(params, crafting_->Parameters());
-  if (!nn::LoadParameters(params, in)) return false;
+  if (!selection_->LoadState(in) ||
+      !nn::LoadParameters(crafting_->Parameters(), in)) {
+    return false;
+  }
   nn::MovingBaseline::State baseline;
   std::uint8_t initialized = 0;
   in.read(reinterpret_cast<char*>(&baseline.value),

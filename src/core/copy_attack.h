@@ -97,18 +97,11 @@ class CopyAttack CA_CHECKPOINTED(CopyAttack::SaveState, CopyAttack::LoadState)
   /// proxy mode engaged; exposed for tests).
   data::ItemId anchor_item() const { return anchor_item_; }
 
-  /// Persists both policies' parameters to `path` (binary). Returns false
-  /// on I/O failure. Useful to keep a per-target-item agent across
-  /// sessions or to transfer a trained attack between processes.
-  bool SaveCheckpoint(const std::string& path);
-
-  /// Restores parameters written by `SaveCheckpoint`. The agent must have
-  /// been constructed with the same tree and configuration. Returns false
-  /// on I/O failure or architecture mismatch.
-  bool LoadCheckpoint(const std::string& path);
-
-  /// Full cross-episode state (both policies' parameters + the moving
-  /// reward baseline) for campaign checkpointing.
+  /// Full cross-episode state for campaign checkpointing: the selection
+  /// policy's sparse state (see `HierarchicalSelectionPolicy::SaveState`),
+  /// the crafting policy's parameters and the moving reward baseline.
+  /// Restoring requires the same tree and configuration; a fresh agent
+  /// with a different seed then behaves exactly like the saved one.
   bool SaveState(std::ostream& out) override;
   bool LoadState(std::istream& in) override;
 

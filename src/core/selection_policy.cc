@@ -1,11 +1,16 @@
 #include "core/selection_policy.h"
 
+#include <cstdint>
+#include <istream>
 #include <limits>
+#include <ostream>
+#include <string>
 
 #include "math/sampling.h"
 #include "math/vector_ops.h"
 #include "nn/optimizer.h"
 #include "nn/reinforce.h"
+#include "nn/serialize.h"
 #include "obs/obs.h"
 #include "util/check.h"
 
@@ -43,16 +48,44 @@ HierarchicalSelectionPolicy::HierarchicalSelectionPolicy(
 
   // One policy MLP per internal node, output arity = its child count.
   node_to_mlp_.assign(tree->num_nodes(), kNpos);
+  std::size_t num_mlps = 0;
   for (std::size_t id = 0; id < tree->num_nodes(); ++id) {
-    const auto& node = tree->node(id);
-    if (node.children.empty()) continue;
-    node_to_mlp_[id] = mlps_.size();
-    mlps_.push_back(std::make_unique<nn::Mlp>(
-        "selection/node" + std::to_string(id),
-        std::vector<std::size_t>{state_dim_, config.mlp_hidden_dim,
-                                 node.children.size()},
-        rng, nn::Activation::kRelu, config.init_stddev));
+    if (!tree->IsLeaf(id)) node_to_mlp_[id] = num_mlps++;
   }
+  mlps_.resize(num_mlps);
+  tree_init_ = rng.SaveState();
+  ReserveNodeStreams(rng);
+}
+
+std::vector<std::size_t> HierarchicalSelectionPolicy::NodeDims(
+    std::size_t node) const {
+  return {state_dim_, config_.mlp_hidden_dim,
+          tree_->node(node).children.size()};
+}
+
+void HierarchicalSelectionPolicy::ReserveNodeStreams(util::Rng& rng) {
+  node_init_.resize(mlps_.size());
+  for (std::size_t id = 0; id < tree_->num_nodes(); ++id) {
+    if (node_to_mlp_[id] == kNpos) continue;
+    node_init_[node_to_mlp_[id]] = rng.SaveState();
+    rng.SkipNormals(nn::Mlp::InitDrawCount(NodeDims(id)));
+  }
+}
+
+nn::Mlp& HierarchicalSelectionPolicy::NodeMlp(std::size_t node) {
+  const std::size_t mlp_index = node_to_mlp_[node];
+  CA_CHECK_NE(mlp_index, kNpos);
+  if (mlps_[mlp_index] == nullptr) MaterializeNode(node);
+  return *mlps_[mlp_index];
+}
+
+void HierarchicalSelectionPolicy::MaterializeNode(std::size_t node)
+    CA_COLD_OK("first visit of a tree node, once per node per target") {
+  const std::size_t mlp_index = node_to_mlp_[node];
+  util::Rng rng(node_init_[mlp_index]);
+  mlps_[mlp_index] = std::make_unique<nn::Mlp>(
+      "selection/node" + std::to_string(node), NodeDims(node), rng,
+      nn::Activation::kRelu, config_.init_stddev);
 }
 
 void HierarchicalSelectionPolicy::SetTargetItem(
@@ -174,8 +207,7 @@ data::UserId HierarchicalSelectionPolicy::SampleUser(
     }
 
     nn::MlpContext ctx;
-    std::vector<float> logits =
-        mlps_[node_to_mlp_[node]]->Forward(state, &ctx);
+    std::vector<float> logits = NodeMlp(node).Forward(state, &ctx);
     math::MaskedSoftmaxInPlace(logits, child_mask);
     const std::size_t action = greedy ? math::ArgMax(logits)
                                       : math::SampleCategorical(logits, rng);
@@ -204,9 +236,7 @@ void HierarchicalSelectionPolicy::AccumulateGradients(
 
   std::vector<float> dhidden(config_.rnn_hidden_dim, 0.0f);
   for (const auto& decision : record.path) {
-    const std::size_t mlp_index = node_to_mlp_[decision.node_id];
-    CA_CHECK_NE(mlp_index, kNpos);
-    nn::Mlp& mlp = *mlps_[mlp_index];
+    nn::Mlp& mlp = NodeMlp(decision.node_id);
 
     nn::MlpContext ctx;
     std::vector<float> probs = mlp.Forward(state, &ctx);
@@ -218,7 +248,7 @@ void HierarchicalSelectionPolicy::AccumulateGradients(
 
     std::vector<float> dstate;
     mlp.Backward(ctx, dlogits, &dstate);
-    touched_mlps_.insert(mlp_index);
+    touched_mlps_.insert(node_to_mlp_[decision.node_id]);
     // The q_{v*} half of the state is a frozen pre-trained embedding; only
     // the RNN half receives gradient.
     for (std::size_t h = 0; h < config_.rnn_hidden_dim; ++h) {
@@ -239,25 +269,76 @@ void HierarchicalSelectionPolicy::ApplyUpdates(float learning_rate,
   optimizer.Step(params);
 }
 
-nn::ParameterList HierarchicalSelectionPolicy::AllParameters() {
-  nn::ParameterList params = EncoderParameters();
-  for (auto& mlp : mlps_) {
-    nn::AppendParameters(params, mlp->Parameters());
-  }
-  return params;
-}
-
 std::size_t HierarchicalSelectionPolicy::TotalParameterCount() {
   std::size_t count = 0;
-  for (const auto& mlp : mlps_) {
-    for (const nn::Parameter* p : mlp->Parameters()) {
-      count += p->value.size();
+  for (std::size_t id = 0; id < tree_->num_nodes(); ++id) {
+    if (node_to_mlp_[id] != kNpos) {
+      count += nn::Mlp::ParameterCount(NodeDims(id));
     }
   }
   for (const nn::Parameter* p : EncoderParameters()) {
     count += p->value.size();
   }
   return count;
+}
+
+std::size_t HierarchicalSelectionPolicy::materialized_nodes() const {
+  std::size_t count = 0;
+  for (const auto& mlp : mlps_) {
+    if (mlp != nullptr) ++count;
+  }
+  return count;
+}
+
+bool HierarchicalSelectionPolicy::SaveState(std::ostream& out) {
+  if (!nn::SaveParameters(
+          gru_ != nullptr ? gru_->Parameters() : rnn_->Parameters(), out)) {
+    return false;
+  }
+  util::WriteRngState(out, tree_init_);
+  const std::uint32_t count = static_cast<std::uint32_t>(materialized_nodes());
+  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  // Node ids ascend because MLP indices follow node id order.
+  for (std::size_t id = 0; id < tree_->num_nodes(); ++id) {
+    const std::size_t mlp_index = node_to_mlp_[id];
+    if (mlp_index == kNpos || mlps_[mlp_index] == nullptr) continue;
+    const std::uint32_t node_id = static_cast<std::uint32_t>(id);
+    out.write(reinterpret_cast<const char*>(&node_id), sizeof(node_id));
+    if (!nn::SaveParameters(mlps_[mlp_index]->Parameters(), out)) {
+      return false;
+    }
+  }
+  return static_cast<bool>(out);
+}
+
+bool HierarchicalSelectionPolicy::LoadState(std::istream& in) {
+  if (!nn::LoadParameters(
+          gru_ != nullptr ? gru_->Parameters() : rnn_->Parameters(), in) ||
+      !util::ReadRngState(in, &tree_init_)) {
+    return false;
+  }
+  util::Rng stream(tree_init_);
+  ReserveNodeStreams(stream);
+  for (auto& mlp : mlps_) mlp.reset();
+  touched_mlps_.clear();
+
+  std::uint32_t count = 0;
+  in.read(reinterpret_cast<char*>(&count), sizeof(count));
+  if (!in || count > mlps_.size()) return false;
+  std::size_t next_id = 0;  // ids must strictly ascend
+  for (std::uint32_t i = 0; i < count; ++i) {
+    std::uint32_t node_id = 0;
+    in.read(reinterpret_cast<char*>(&node_id), sizeof(node_id));
+    if (!in || node_id < next_id || node_id >= tree_->num_nodes() ||
+        node_to_mlp_[node_id] == kNpos) {
+      return false;
+    }
+    next_id = static_cast<std::size_t>(node_id) + 1;
+    if (!nn::LoadParameters(NodeMlp(node_id).Parameters(), in)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace copyattack::core

@@ -2,6 +2,7 @@
 #define COPYATTACK_CORE_SELECTION_POLICY_H_
 
 #include <cstddef>
+#include <iosfwd>
 #include <memory>
 #include <set>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "nn/gru.h"
 #include "nn/mlp.h"
 #include "nn/rnn.h"
+#include "util/annotations.h"
 #include "util/rng.h"
 
 namespace copyattack::core {
@@ -46,7 +48,15 @@ enum class SequenceEncoderType {
 /// children; selecting a source user is a root-to-leaf walk sampling one
 /// child per node under the masking mechanism (§4.3.2). The per-decision
 /// cost is O(branching · depth) instead of O(#users) for a flat policy.
-class HierarchicalSelectionPolicy {
+///
+/// Node MLPs are built lazily: masking keeps a target's walks inside the
+/// ancestors of its source holders, so most nodes are never visited. The
+/// constructor only records where each node's initial weights start in
+/// the shared init stream and skips past them, so a node built on its
+/// first visit holds exactly the weights an eager build would have drawn.
+class HierarchicalSelectionPolicy CA_CHECKPOINTED(
+    HierarchicalSelectionPolicy::SaveState,
+    HierarchicalSelectionPolicy::LoadState) {
  public:
   struct Config {
     std::size_t mlp_hidden_dim = 16;
@@ -58,7 +68,8 @@ class HierarchicalSelectionPolicy {
 
   /// `tree`, `user_embeddings` (p^B, one row per source user) and
   /// `item_embeddings` (q^B) are borrowed and must outlive the policy.
-  /// The embeddings are the frozen pre-trained MF representations.
+  /// The embeddings are the frozen pre-trained MF representations. `rng`
+  /// advances past every node MLP's initial draws, built or not.
   HierarchicalSelectionPolicy(const cluster::HierarchicalTree* tree,
                               const math::Matrix* user_embeddings,
                               const math::Matrix* item_embeddings,
@@ -96,12 +107,26 @@ class HierarchicalSelectionPolicy {
   /// (visited node MLPs + the RNN encoder) and clears the gradients.
   void ApplyUpdates(float learning_rate, float clip_norm);
 
-  /// Total number of learnable parameters across all node policies.
+  /// Total number of learnable parameters across all node policies and
+  /// the encoder, counted from the tree shape without building any node.
   std::size_t TotalParameterCount();
 
-  /// Every learnable parameter (all node MLPs plus the encoder), for
-  /// checkpointing.
-  nn::ParameterList AllParameters();
+  /// Node MLPs built so far (first visits since construction or the last
+  /// `LoadState`).
+  std::size_t materialized_nodes() const;
+
+  /// Cross-episode state (DESIGN.md §11): the encoder's parameters, the
+  /// init-stream position of the first node, then the built node MLPs
+  /// keyed by node id in ascending order.
+  bool SaveState(std::ostream& out);
+
+  /// Restores a `SaveState` blob written over the same tree and config.
+  /// Nodes the blob does not hold are dropped and re-derived, on their
+  /// next visit, from the blob's init stream — not from this policy's own
+  /// seed. Returns false on a short read, a size mismatch, or a node id
+  /// that is out of range, a leaf, repeated or out of order; the policy
+  /// is then valid but its weights are unspecified.
+  bool LoadState(std::istream& in);
 
   std::size_t state_dim() const { return state_dim_; }
 
@@ -124,6 +149,19 @@ class HierarchicalSelectionPolicy {
   /// Learnable parameters of the configured encoder.
   nn::ParameterList EncoderParameters();
 
+  /// Layer widths of `node`'s MLP: state → hidden → one logit per child.
+  std::vector<std::size_t> NodeDims(std::size_t node) const;
+
+  /// Records each internal node's init-stream position, in node id
+  /// order, and advances `rng` past the draws its MLP takes.
+  void ReserveNodeStreams(util::Rng& rng);
+
+  /// `node`'s MLP, built from its reserved stream on the first visit.
+  nn::Mlp& NodeMlp(std::size_t node);
+
+  /// Builds `node`'s MLP from its reserved init-stream position.
+  void MaterializeNode(std::size_t node);
+
   /// Builds the state vector [q_{v*} ⊕ encoder(selected)]; `run` receives
   /// the encoder activations for a later backward pass.
   std::vector<float> StateVector(
@@ -133,23 +171,39 @@ class HierarchicalSelectionPolicy {
   std::vector<std::vector<float>> SelectedEmbeddings(
       const std::vector<data::UserId>& selected) const;
 
-  const cluster::HierarchicalTree* tree_;
-  const math::Matrix* user_embeddings_;
-  const math::Matrix* item_embeddings_;
-  Config config_;
-  std::size_t state_dim_;
+  const cluster::HierarchicalTree* tree_
+      CA_NOT_CHECKPOINTED("borrowed pointer, rebound at construction");
+  const math::Matrix* user_embeddings_
+      CA_NOT_CHECKPOINTED("borrowed pointer, rebound at construction");
+  const math::Matrix* item_embeddings_
+      CA_NOT_CHECKPOINTED("borrowed pointer, rebound at construction");
+  Config config_ CA_NOT_CHECKPOINTED("configuration, not mutable state");
+  std::size_t state_dim_ CA_NOT_CHECKPOINTED("derived from the config");
 
-  /// node_to_mlp_[node] is the MLP index for an internal node, or npos.
-  std::vector<std::size_t> node_to_mlp_;
-  std::vector<std::unique_ptr<nn::Mlp>> mlps_;
   std::unique_ptr<nn::RnnEncoder> rnn_;  // exactly one encoder is non-null
   std::unique_ptr<nn::GruEncoder> gru_;
 
-  data::ItemId target_item_ = data::kNoItem;
-  std::vector<bool> static_mask_;
-  std::vector<bool> mask_;
+  /// Init-stream position at the first internal node.
+  util::RngState tree_init_;
+  /// node_to_mlp_[node] is the MLP index for an internal node, or npos.
+  std::vector<std::size_t> node_to_mlp_
+      CA_NOT_CHECKPOINTED("derived from the tree at construction");
+  /// Init-stream position of each node MLP, by MLP index.
+  std::vector<util::RngState> node_init_
+      CA_NOT_CHECKPOINTED("derived from tree_init_");
+  /// Node MLPs by MLP index; null until the node's first visit.
+  std::vector<std::unique_ptr<nn::Mlp>> mlps_;
 
-  std::set<std::size_t> touched_mlps_;
+  data::ItemId target_item_
+      CA_NOT_CHECKPOINTED("per-target, set by SetTargetItem") =
+          data::kNoItem;
+  std::vector<bool> static_mask_
+      CA_NOT_CHECKPOINTED("per-target, set by SetTargetItem");
+  std::vector<bool> mask_
+      CA_NOT_CHECKPOINTED("per-episode, re-armed by ResetEpisodeMask");
+
+  std::set<std::size_t> touched_mlps_
+      CA_NOT_CHECKPOINTED("per-episode scratch, cleared by ApplyUpdates");
 };
 
 }  // namespace copyattack::core

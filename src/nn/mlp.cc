@@ -15,6 +15,20 @@ Mlp::Mlp(std::string name, const std::vector<std::size_t>& dims,
   }
 }
 
+std::size_t Mlp::InitDrawCount(const std::vector<std::size_t>& dims) {
+  std::size_t draws = 0;
+  for (std::size_t i = 0; i + 1 < dims.size(); ++i) {
+    draws += dims[i] * dims[i + 1];
+  }
+  return draws;
+}
+
+std::size_t Mlp::ParameterCount(const std::vector<std::size_t>& dims) {
+  std::size_t count = InitDrawCount(dims);
+  for (std::size_t i = 1; i < dims.size(); ++i) count += dims[i];
+  return count;
+}
+
 std::vector<float> Mlp::Forward(const std::vector<float>& in,
                                 MlpContext* context) const {
   CA_CHECK(context != nullptr);

@@ -31,6 +31,13 @@ class Mlp {
       Activation hidden_activation = Activation::kRelu,
       float init_stddev = 0.1f);
 
+  /// Number of `Normal()` draws the constructor takes from `rng` for
+  /// `dims`: one per weight, since biases start at zero.
+  static std::size_t InitDrawCount(const std::vector<std::size_t>& dims);
+
+  /// Learnable scalars of an MLP with `dims` (weights plus biases).
+  static std::size_t ParameterCount(const std::vector<std::size_t>& dims);
+
   std::size_t in_dim() const { return layers_.front().in_dim(); }
   std::size_t out_dim() const { return layers_.back().out_dim(); }
 

@@ -28,6 +28,7 @@ void PinSageLite::InitTraining(const data::Dataset& train, util::Rng& rng) {
   user_reps_.Resize(0, config_.embedding_dim);
   item_user_sum_.Resize(0, config_.embedding_dim);
   item_user_count_.clear();
+  item_neighbor_weight_.clear();
   mean_user_aggregate_.clear();
   mean_frozen_ = false;
   serving_ckpt_.valid = false;
@@ -152,6 +153,10 @@ void PinSageLite::BeginServing(const data::Dataset& current) {
       ++item_user_count_[item];
     }
   }
+  item_neighbor_weight_.assign(current.num_items(), 0.0f);
+  for (data::ItemId item = 0; item < current.num_items(); ++item) {
+    UpdateNeighborWeight(item);
+  }
   // A full rebuild supersedes whatever state an older checkpoint captured.
   serving_ckpt_.valid = false;
 }
@@ -167,6 +172,7 @@ void PinSageLite::ObserveNewUser(const data::Dataset& current,
   for (const data::ItemId item : current.UserProfile(user)) {
     math::Axpy(1.0f, rep, item_user_sum_.Row(item), dim);
     ++item_user_count_[item];
+    UpdateNeighborWeight(item);
     if (serving_ckpt_.valid) serving_ckpt_.touched.push_back(item);
   }
 }
@@ -193,9 +199,19 @@ bool PinSageLite::RollbackServing() {
   for (const data::ItemId item : serving_ckpt_.touched) {
     item_user_sum_.CopyRowFrom(serving_ckpt_.item_user_sum, item, item);
     item_user_count_[item] = serving_ckpt_.item_user_count[item];
+    UpdateNeighborWeight(item);
   }
   serving_ckpt_.touched.clear();
   return true;
+}
+
+void PinSageLite::UpdateNeighborWeight(data::ItemId item) {
+  const std::size_t count = item_user_count_[item];
+  item_neighbor_weight_[item] =
+      count > 0 ? (1.0f - config_.self_weight) /
+                      std::pow(static_cast<float>(count),
+                               config_.neighbor_norm_exponent)
+                : 0.0f;
 }
 
 const float* PinSageLite::UserRepresentation(data::UserId user) const {
@@ -211,11 +227,8 @@ void PinSageLite::ItemRepresentation(data::ItemId item,
   const float alpha = config_.self_weight;
   math::Axpy(alpha, items_.Row(item), out->data(), dim);
   if (item_user_count_[item] > 0) {
-    const float w =
-        (1.0f - alpha) /
-        std::pow(static_cast<float>(item_user_count_[item]),
-                 config_.neighbor_norm_exponent);
-    math::Axpy(w, item_user_sum_.Row(item), out->data(), dim);
+    math::Axpy(item_neighbor_weight_[item], item_user_sum_.Row(item),
+               out->data(), dim);
   }
 }
 
@@ -227,11 +240,8 @@ float PinSageLite::Score(data::UserId user, data::ItemId item) const {
   const float alpha = config_.self_weight;
   float score = alpha * math::Dot(p, items_.Row(item), dim);
   if (item_user_count_[item] > 0) {
-    const float w =
-        (1.0f - alpha) /
-        std::pow(static_cast<float>(item_user_count_[item]),
-                 config_.neighbor_norm_exponent);
-    score += w * math::Dot(p, item_user_sum_.Row(item), dim);
+    score += item_neighbor_weight_[item] *
+             math::Dot(p, item_user_sum_.Row(item), dim);
   }
   if (item < item_intercept_.size()) {
     score += item_intercept_[item];

@@ -97,6 +97,9 @@ class PinSageLite final : public Recommender {
   void ComputeUserRepresentation(const data::Dataset& current,
                                  data::UserId user, float* out) const;
 
+  /// Recomputes `item`'s cached neighbour weight from its user count.
+  void UpdateNeighborWeight(data::ItemId item);
+
   PinSageConfig config_;
   math::Matrix items_;        // q: num_items x dim (trained)
   std::vector<float> item_intercept_;       // frozen at InitTraining
@@ -105,6 +108,11 @@ class PinSageLite final : public Recommender {
   math::Matrix user_reps_;    // p: num_serving_users x dim
   math::Matrix item_user_sum_;  // per item: sum of p over interacting users
   std::vector<std::size_t> item_user_count_;
+  /// Per item: (1 - alpha) / count^e, the neighbourhood term's weight
+  /// (0 when no user holds the item). Kept in step with item_user_count_
+  /// so a score does not pay a pow().
+  std::vector<float> item_neighbor_weight_ CA_NOT_CHECKPOINTED(
+      "derived from item_user_count_, recomputed wherever it changes");
 
   /// Serving-state checkpoint (CheckpointServing/RollbackServing): a copy
   /// of the neighborhood accumulators plus a journal of items touched by

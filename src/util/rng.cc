@@ -1,6 +1,8 @@
 #include "util/rng.h"
 
 #include <cmath>
+#include <istream>
+#include <ostream>
 
 namespace copyattack::util {
 namespace {
@@ -27,12 +29,32 @@ std::uint64_t DeriveStreamSeed(std::uint64_t base, std::uint64_t stream) {
   return SplitMix64(x);
 }
 
+void WriteRngState(std::ostream& out, const RngState& state) {
+  out.write(reinterpret_cast<const char*>(state.words), sizeof(state.words));
+  const std::uint8_t cached = state.has_cached_normal ? 1 : 0;
+  out.write(reinterpret_cast<const char*>(&cached), sizeof(cached));
+  out.write(reinterpret_cast<const char*>(&state.cached_normal),
+            sizeof(state.cached_normal));
+}
+
+bool ReadRngState(std::istream& in, RngState* state) {
+  std::uint8_t cached = 0;
+  in.read(reinterpret_cast<char*>(state->words), sizeof(state->words));
+  in.read(reinterpret_cast<char*>(&cached), sizeof(cached));
+  state->has_cached_normal = cached != 0;
+  in.read(reinterpret_cast<char*>(&state->cached_normal),
+          sizeof(state->cached_normal));
+  return static_cast<bool>(in);
+}
+
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t s = seed;
   for (auto& word : state_) {
     word = SplitMix64(s);
   }
 }
+
+Rng::Rng(const RngState& state) { RestoreState(state); }
 
 std::uint64_t Rng::NextUint64() {
   const std::uint64_t result = Rotl(state_[1] * 5, 7) * 9;
@@ -92,6 +114,32 @@ double Rng::Normal() {
 
 double Rng::Normal(double mean, double stddev) {
   return mean + stddev * Normal();
+}
+
+void Rng::SkipNormals(std::size_t n) {
+  if (n > 0 && has_cached_normal_) {
+    has_cached_normal_ = false;
+    --n;
+  }
+  // Two calls to Normal() consume one accepted point of the polar method,
+  // so every point but the last needs only Normal()'s rejection test. The
+  // last one or two deviates are drawn for real: the last point's second
+  // deviate stays in the state, cached or (once consumed) stale.
+  if (n > 2) {
+    const std::size_t points = (n - 1) / 2;
+    n -= 2 * points;
+    // Accept exactly when Normal() would: 0 < s < 1 (s is a sum of
+    // squares). Counting instead of branching keeps the loop free of
+    // mispredicted rejections.
+    for (std::size_t accepted = 0; accepted < points;) {
+      const double u = UniformDouble(-1.0, 1.0);
+      const double v = UniformDouble(-1.0, 1.0);
+      const double s = u * u + v * v;
+      accepted += static_cast<std::size_t>(s < 1.0) &
+                  static_cast<std::size_t>(s > 0.0);
+    }
+  }
+  for (; n > 0; --n) Normal();
 }
 
 bool Rng::Bernoulli(double p) {

@@ -2,6 +2,7 @@
 #define COPYATTACK_UTIL_RNG_H_
 
 #include <cstdint>
+#include <iosfwd>
 #include <vector>
 
 #include "util/annotations.h"
@@ -28,6 +29,13 @@ struct RngState CA_CHECKPOINTED(WriteRngState, ReadRngState) {
   double cached_normal = 0.0;
 };
 
+/// Binary codec for `RngState` (little-endian words, a cached-normal flag
+/// byte, then the cached deviate's raw bytes), shared by every checkpoint
+/// that embeds a stream position. `ReadRngState` returns false on a short
+/// read.
+void WriteRngState(std::ostream& out, const RngState& state);
+bool ReadRngState(std::istream& in, RngState* state);
+
 /// Deterministic, fast pseudo-random number generator (xoshiro256**),
 /// seeded through splitmix64 so that any 64-bit seed gives a well-mixed
 /// state. Every stochastic component of the project draws from an `Rng`
@@ -38,6 +46,10 @@ class Rng CA_CHECKPOINTED(Rng::SaveState, Rng::RestoreState) {
   /// Constructs a generator from a 64-bit seed. Equal seeds yield equal
   /// streams on every platform.
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
+
+  /// Constructs a generator positioned at a saved stream state, so a
+  /// component can replay draws from where `SaveState` captured them.
+  explicit Rng(const RngState& state);
 
   /// Returns the next raw 64-bit value.
   std::uint64_t NextUint64();
@@ -59,6 +71,13 @@ class Rng CA_CHECKPOINTED(Rng::SaveState, Rng::RestoreState) {
 
   /// Returns a normal deviate with the given mean and standard deviation.
   double Normal(double mean, double stddev);
+
+  /// Advances the stream exactly as `n` calls to `Normal()` would — same
+  /// resulting `SaveState()`, cached deviate included — without computing
+  /// the deviates it discards: whole polar pairs run only their rejection
+  /// loop. Lets a component reserve a stretch of draws now and replay it
+  /// later from a saved state.
+  void SkipNormals(std::size_t n);
 
   /// Returns true with probability `p` (clamped to [0,1]).
   bool Bernoulli(double p);

@@ -170,6 +170,28 @@ TEST(CheckpointTest, TruncatedPrimaryIsDetected) {
             CheckpointSource::kNone);
 }
 
+TEST(CheckpointTest, VersionOneFileIsRejectedAsUnsupported) {
+  const std::string dir = FreshDir("ckpt_version_one");
+  ASSERT_TRUE(SaveCampaignCheckpoint(TestCheckpoint(), dir));
+  // Version 1 strategy blobs held every tree node's MLP; rewrite the
+  // header's version field (offset 4) to 1. The CRC covers only the
+  // payload, so the version check alone must reject the file.
+  {
+    std::fstream file(CheckpointPath(dir),
+                      std::ios::binary | std::ios::in | std::ios::out);
+    ASSERT_TRUE(file);
+    const std::uint32_t version = 1;
+    file.seekp(4);
+    file.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  }
+  CampaignCheckpoint loaded;
+  data::IoError error;
+  EXPECT_EQ(LoadCampaignCheckpoint(dir, TestFingerprint(), &loaded, &error),
+            CheckpointSource::kNone);
+  EXPECT_NE(error.message.find("unsupported version"), std::string::npos)
+      << error.message;
+}
+
 // ---------------------------------------------------------------------------
 // Crash-point injection through the save path (ISSUE 10): a crash inside
 // ANY rotation phase must leave loadable state, and the loadable state

@@ -1,4 +1,8 @@
+#include <cstdint>
+#include <memory>
 #include <set>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -9,6 +13,9 @@
 #include "core/crafting_policy.h"
 #include "core/selection_policy.h"
 #include "math/matrix.h"
+#include "nn/mlp.h"
+#include "nn/rnn.h"
+#include "nn/serialize.h"
 #include "util/rng.h"
 
 namespace copyattack::core {
@@ -43,8 +50,8 @@ class PolicyFixture : public ::testing::Test {
         [item](std::size_t user) { return user % 4 == item; });
   }
 
-  HierarchicalSelectionPolicy MakePolicy() {
-    util::Rng init_rng(testhelpers::TestSeed(9));
+  HierarchicalSelectionPolicy MakePolicy(std::uint64_t seed = 9) {
+    util::Rng init_rng(testhelpers::TestSeed(seed));
     return HierarchicalSelectionPolicy(&tree_, &users_, &items_,
                                        HierarchicalSelectionPolicy::Config{},
                                        init_rng);
@@ -218,6 +225,234 @@ TEST_F(PolicyFixture, RnnStateChangesDistribution) {
 TEST_F(PolicyFixture, TotalParameterCountPositive) {
   auto policy = MakePolicy();
   EXPECT_GT(policy.TotalParameterCount(), 0U);
+}
+
+TEST_F(PolicyFixture, TotalParameterCountEqualsEagerSum) {
+  auto policy = MakePolicy();
+  const HierarchicalSelectionPolicy::Config config;
+  util::Rng rng(testhelpers::TestSeed(61));
+  nn::RnnEncoder encoder("e", users_.cols(), config.rnn_hidden_dim, rng);
+  std::size_t eager = 0;
+  for (const nn::Parameter* p : encoder.Parameters()) {
+    eager += p->value.size();
+  }
+  for (std::size_t id = 0; id < tree_.num_nodes(); ++id) {
+    if (tree_.IsLeaf(id)) continue;
+    nn::Mlp mlp("m",
+                {policy.state_dim(), config.mlp_hidden_dim,
+                 tree_.node(id).children.size()},
+                rng);
+    for (const nn::Parameter* p : mlp.Parameters()) eager += p->value.size();
+  }
+  EXPECT_EQ(policy.TotalParameterCount(), eager);
+  EXPECT_EQ(policy.materialized_nodes(), 0U) << "counting built a node";
+}
+
+/// Checkpoint format of the selection policy (DESIGN.md §11): encoder
+/// parameters, tree-init RngState, u32 node count, then per built node a
+/// u32 node id and its MLP's parameters.
+class PolicyCheckpointTest : public PolicyFixture {
+ protected:
+  static std::string Save(HierarchicalSelectionPolicy& policy) {
+    std::ostringstream out(std::ios::binary);
+    EXPECT_TRUE(policy.SaveState(out));
+    return out.str();
+  }
+
+  static bool Load(HierarchicalSelectionPolicy& policy,
+                   const std::string& bytes) {
+    std::istringstream in(bytes, std::ios::binary);
+    return policy.LoadState(in);
+  }
+
+  static std::string U32(std::uint32_t value) {
+    return std::string(reinterpret_cast<const char*>(&value), sizeof(value));
+  }
+
+  /// Serialized parameters of `mlp`, as a node record carries them.
+  static std::string Params(nn::Mlp& mlp) {
+    std::ostringstream out(std::ios::binary);
+    EXPECT_TRUE(nn::SaveParameters(mlp.Parameters(), out));
+    return out.str();
+  }
+
+  /// An MLP named and shaped for node `node`, built from `rng`.
+  nn::Mlp NodeMlp(std::size_t node, util::Rng& rng) const {
+    const HierarchicalSelectionPolicy::Config config;
+    return nn::Mlp("selection/node" + std::to_string(node),
+                   {items_.cols() + config.rnn_hidden_dim,
+                    config.mlp_hidden_dim, tree_.node(node).children.size()},
+                   rng, nn::Activation::kRelu, config.init_stddev);
+  }
+
+  /// A node record with id `id` and parameters fitting node `shape_of`.
+  std::string NodeRecord(std::uint32_t id, std::size_t shape_of) const {
+    util::Rng rng(testhelpers::TestSeed(67));
+    nn::Mlp mlp = NodeMlp(shape_of, rng);
+    return U32(id) + Params(mlp);
+  }
+
+  std::vector<std::size_t> InternalNodes() const {
+    std::vector<std::size_t> ids;
+    for (std::size_t id = 0; id < tree_.num_nodes(); ++id) {
+      if (!tree_.IsLeaf(id)) ids.push_back(id);
+    }
+    return ids;
+  }
+
+  /// A policy trained on a few walks for item 1, so its state holds
+  /// built nodes and moved weights.
+  HierarchicalSelectionPolicy TrainedPolicy() {
+    auto policy = MakePolicy();
+    policy.SetTargetItem(1, MaskForItem(1));
+    util::Rng rng(testhelpers::TestSeed(71));
+    for (int i = 0; i < 3; ++i) {
+      SelectionStepRecord record;
+      policy.SampleUser({static_cast<data::UserId>(i)}, rng, &record);
+      policy.AccumulateGradients(record, 1.0);
+      policy.ApplyUpdates(0.2f, 0.0f);
+    }
+    return policy;
+  }
+};
+
+TEST_F(PolicyCheckpointTest, NodesBuiltOnFirstVisitHoldTheEagerWeights) {
+  // An eager build: the encoder, then every internal node's MLP in id
+  // order, all from one stream.
+  const HierarchicalSelectionPolicy::Config config;
+  util::Rng eager_rng(testhelpers::TestSeed(9));
+  nn::RnnEncoder encoder("selection/rnn", users_.cols(),
+                         config.rnn_hidden_dim, eager_rng,
+                         config.init_stddev);
+  std::vector<std::unique_ptr<nn::Mlp>> eager(tree_.num_nodes());
+  for (const std::size_t id : InternalNodes()) {
+    eager[id] = std::make_unique<nn::Mlp>(NodeMlp(id, eager_rng));
+  }
+
+  util::Rng lazy_rng(testhelpers::TestSeed(9));
+  HierarchicalSelectionPolicy policy(&tree_, &users_, &items_, config,
+                                     lazy_rng);
+  // The stream continues where the eager build left it (the crafting
+  // policy draws next).
+  const util::RngState lazy_end = lazy_rng.SaveState();
+  const util::RngState eager_end = eager_rng.SaveState();
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(lazy_end.words[i], eager_end.words[i]);
+  }
+  EXPECT_EQ(lazy_end.has_cached_normal, eager_end.has_cached_normal);
+  EXPECT_EQ(lazy_end.cached_normal, eager_end.cached_normal);
+  EXPECT_EQ(policy.materialized_nodes(), 0U);
+
+  const std::string fresh = Save(policy);
+  policy.SetTargetItem(2, MaskForItem(2));
+  util::Rng rng(testhelpers::TestSeed(73));
+  SelectionStepRecord record;
+  policy.SampleUser({}, rng, &record);
+  // Exactly the walked nodes are built, each with the eager weights.
+  EXPECT_EQ(policy.materialized_nodes(), record.path.size());
+  std::set<std::size_t> walked;
+  for (const auto& decision : record.path) walked.insert(decision.node_id);
+  std::string expected = fresh.substr(0, fresh.size() - 4) +
+                         U32(static_cast<std::uint32_t>(walked.size()));
+  for (const std::size_t id : walked) {
+    expected += U32(static_cast<std::uint32_t>(id)) + Params(*eager[id]);
+  }
+  EXPECT_EQ(Save(policy), expected);
+}
+
+TEST_F(PolicyCheckpointTest, StateSavedBeforeAnyWalkHoldsNoNodeRecords) {
+  auto fresh = MakePolicy();
+  const std::string blob = Save(fresh);
+  EXPECT_EQ(blob.substr(blob.size() - 4), U32(0));
+
+  // A policy with built nodes drops them when it loads that state.
+  auto trained = TrainedPolicy();
+  ASSERT_GT(trained.materialized_nodes(), 0U);
+  ASSERT_TRUE(Load(trained, blob));
+  EXPECT_EQ(trained.materialized_nodes(), 0U);
+  EXPECT_EQ(Save(trained), blob);
+}
+
+TEST_F(PolicyCheckpointTest, UnsavedNodesReDeriveFromTheSavedStream) {
+  auto trained = TrainedPolicy();
+  const std::string blob = Save(trained);
+  auto restored = MakePolicy(999);  // a different init stream
+  restored.SetTargetItem(1, MaskForItem(1));
+  ASSERT_TRUE(Load(restored, blob));
+  EXPECT_EQ(Save(restored), blob);
+
+  // Fifty stochastic walks per item reach nodes the three training walks
+  // never built; the restored policy must build them from the saved
+  // stream, not from its own.
+  const std::size_t loaded = restored.materialized_nodes();
+  for (const data::ItemId item : {1, 3}) {
+    trained.SetTargetItem(item, MaskForItem(item));
+    restored.SetTargetItem(item, MaskForItem(item));
+    util::Rng rng_a(testhelpers::TestSeed(79));
+    util::Rng rng_b(testhelpers::TestSeed(79));
+    for (int i = 0; i < 50; ++i) {
+      SelectionStepRecord a, b;
+      EXPECT_EQ(trained.SampleUser({2}, rng_a, &a),
+                restored.SampleUser({2}, rng_b, &b));
+    }
+  }
+  EXPECT_GT(restored.materialized_nodes(), loaded);
+  EXPECT_EQ(Save(restored), Save(trained));
+}
+
+TEST_F(PolicyCheckpointTest, LoadStateRejectsMalformedNodeRecords) {
+  auto policy = MakePolicy();
+  const std::string fresh = Save(policy);
+  const std::string header = fresh.substr(0, fresh.size() - 4);
+  const std::vector<std::size_t> internal = InternalNodes();
+  ASSERT_GE(internal.size(), 2U);
+  const std::size_t a = internal[0];
+  const std::size_t b = internal[1];
+  std::size_t leaf = 0;
+  while (!tree_.IsLeaf(leaf)) ++leaf;
+  const auto ida = static_cast<std::uint32_t>(a);
+  const auto idb = static_cast<std::uint32_t>(b);
+  const auto blob = [&](const std::vector<std::string>& records) {
+    std::string bytes =
+        header + U32(static_cast<std::uint32_t>(records.size()));
+    for (const std::string& record : records) bytes += record;
+    return bytes;
+  };
+
+  // The hand-built layout is the real one: a well-formed blob loads.
+  ASSERT_TRUE(Load(policy, blob({NodeRecord(ida, a), NodeRecord(idb, b)})));
+  EXPECT_EQ(policy.materialized_nodes(), 2U);
+
+  EXPECT_FALSE(Load(policy, blob({NodeRecord(idb, b), NodeRecord(ida, a)})))
+      << "unsorted ids";
+  EXPECT_FALSE(Load(policy, blob({NodeRecord(ida, a), NodeRecord(ida, a)})))
+      << "duplicate id";
+  EXPECT_FALSE(Load(policy, blob({NodeRecord(
+                                static_cast<std::uint32_t>(tree_.num_nodes()),
+                                a)})))
+      << "id past the last node";
+  EXPECT_FALSE(Load(policy, blob({NodeRecord(0xFFFFFFFFU, a)})))
+      << "id far out of range";
+  EXPECT_FALSE(
+      Load(policy, blob({NodeRecord(static_cast<std::uint32_t>(leaf), a)})))
+      << "leaf id";
+  EXPECT_FALSE(Load(policy, blob({NodeRecord(idb, a)})))
+      << "record shaped for another node";
+  EXPECT_FALSE(Load(policy,
+                    header + U32(static_cast<std::uint32_t>(
+                                 internal.size() + 1))))
+      << "more records than internal nodes";
+}
+
+TEST_F(PolicyCheckpointTest, LoadStateRejectsEveryTruncation) {
+  auto trained = TrainedPolicy();
+  const std::string blob = Save(trained);
+  auto policy = MakePolicy();
+  for (std::size_t size = 0; size < blob.size(); ++size) {
+    EXPECT_FALSE(Load(policy, blob.substr(0, size))) << "size " << size;
+  }
+  EXPECT_TRUE(Load(policy, blob));
+  EXPECT_EQ(Save(policy), blob);
 }
 
 TEST_F(PolicyFixture, CraftingPolicySamplesValidLevels) {

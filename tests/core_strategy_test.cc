@@ -1,5 +1,8 @@
+#include <cstdint>
 #include <memory>
 #include <set>
+#include <sstream>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -368,17 +371,18 @@ TEST(CopyAttackTest, CheckpointRoundTripPreservesBehavior) {
     }
   }
 
-  const std::string path = testing::TempDir() + "/copyattack_ckpt.bin";
-  ASSERT_TRUE(original.SaveCheckpoint(path));
+  std::stringstream blob(std::ios::in | std::ios::out | std::ios::binary);
+  ASSERT_TRUE(original.SaveState(blob));
 
   // A fresh agent with a DIFFERENT init seed must behave identically
-  // after loading the checkpoint (greedy actions match).
+  // after loading the checkpoint (greedy actions match): tree nodes the
+  // checkpoint does not hold are re-derived from the saved init stream.
   CopyAttack restored(&tw.world.dataset, &tw.artifacts.tree,
                       &tw.artifacts.mf.user_embeddings(),
                       &tw.artifacts.mf.item_embeddings(),
                       SmallAgentConfig(), 999);
   restored.BeginTargetItem(tw.cold_target);
-  ASSERT_TRUE(restored.LoadCheckpoint(path));
+  ASSERT_TRUE(restored.LoadState(blob));
 
   original.SetEvalMode(true);
   restored.SetEvalMode(true);
@@ -394,7 +398,44 @@ TEST(CopyAttackTest, CheckpointRoundTripPreservesBehavior) {
   const double ra = original.RunEpisode(env_a, rng_a);
   const double rb = restored.RunEpisode(env_b, rng_b);
   EXPECT_DOUBLE_EQ(ra, rb);
-  std::remove(path.c_str());
+}
+
+TEST(CopyAttackTest, CheckpointSaveLoadSaveIsByteIdentical) {
+  const auto& tw = SharedTinyWorld();
+  const auto make_agent = [&tw](std::uint64_t seed) {
+    return CopyAttack(&tw.world.dataset, &tw.artifacts.tree,
+                      &tw.artifacts.mf.user_embeddings(),
+                      &tw.artifacts.mf.item_embeddings(), SmallAgentConfig(),
+                      seed);
+  };
+  const auto play = [&tw](CopyAttack& agent, int episodes) {
+    rec::PinSageLite model = tw.model;
+    AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+                          SmallEnvConfig());
+    util::Rng rng(testhelpers::TestSeed(3));
+    for (int e = 0; e < episodes; ++e) {
+      env.Reset(tw.cold_target);
+      agent.RunEpisode(env, rng);
+    }
+  };
+  const auto save = [](CopyAttack& agent) {
+    std::ostringstream out(std::ios::binary);
+    EXPECT_TRUE(agent.SaveState(out));
+    return out.str();
+  };
+
+  CopyAttack original = make_agent(1);
+  original.BeginTargetItem(tw.cold_target);
+  play(original, 2);
+  const std::string saved = save(original);
+
+  // The loader has built tree nodes of its own; loading drops them.
+  CopyAttack loader = make_agent(999);
+  loader.BeginTargetItem(tw.cold_target);
+  play(loader, 1);
+  std::istringstream in(saved, std::ios::binary);
+  ASSERT_TRUE(loader.LoadState(in));
+  EXPECT_EQ(save(loader), saved);
 }
 
 TEST(CopyAttackTest, GruEncoderAgentRuns) {

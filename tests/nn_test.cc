@@ -59,6 +59,32 @@ TEST(DenseTest, ForwardComputesAffineMap) {
   EXPECT_FLOAT_EQ(out[1], 0.0f);
 }
 
+TEST(MlpTest, ConstructionDrawsExactlyInitDrawCountNormals) {
+  const std::vector<std::vector<std::size_t>> shapes = {
+      {3, 4, 2}, {5, 1}, {40, 16, 7}, {3, 5, 5, 2}};
+  for (const auto& dims : shapes) {
+    for (const bool start_cached : {false, true}) {
+      util::Rng built(testhelpers::TestSeed(29));
+      util::Rng skipped(testhelpers::TestSeed(29));
+      if (start_cached) {
+        built.Normal();
+        skipped.Normal();
+      }
+      Mlp mlp("m", dims, built);
+      skipped.SkipNormals(Mlp::InitDrawCount(dims));
+      const util::RngState a = built.SaveState();
+      const util::RngState b = skipped.SaveState();
+      for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(a.words[i], b.words[i]);
+      EXPECT_EQ(a.has_cached_normal, b.has_cached_normal);
+      EXPECT_EQ(a.cached_normal, b.cached_normal);
+
+      std::size_t parameters = 0;
+      for (const Parameter* p : mlp.Parameters()) parameters += p->value.size();
+      EXPECT_EQ(Mlp::ParameterCount(dims), parameters);
+    }
+  }
+}
+
 /// Finite-difference gradient check for the whole MLP: perturb each
 /// parameter, compare numeric dL/dw against the analytic accumulation,
 /// with L = sum(out * coefficients).

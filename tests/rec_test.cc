@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
@@ -166,6 +167,59 @@ TEST_F(RecFixture, PinSageIncrementalMatchesRebuild) {
     for (data::ItemId i = 0; i < 10; ++i) {
       EXPECT_NEAR(incremental.Score(u, i), rebuilt.Score(u, i), 1e-4f);
     }
+  }
+}
+
+// The cached per-item neighbour weights must track every change of the
+// item user counts: after injections, serving checkpoints and rollbacks,
+// every score equals a model rebuilt from scratch on the same data.
+TEST_F(RecFixture, PinSageScoresAfterInjectAndRollbackMatchFreshServing) {
+  PinSageLite model;
+  util::Rng rng(testhelpers::TestSeed(3));
+  model.Fit(split_.train, 5, rng);
+  const PinSageLite trained = model;
+
+  data::Dataset current = split_.train;
+  util::Rng inject_rng(testhelpers::TestSeed(7));
+  // Profiles lean on a few items so counts of the same rows change
+  // repeatedly across injections and rollbacks.
+  const auto inject = [&](int users) {
+    for (int i = 0; i < users; ++i) {
+      data::Profile profile = {static_cast<data::ItemId>(i % 3)};
+      std::set<data::ItemId> seen(profile.begin(), profile.end());
+      for (int j = 0; j < 4; ++j) {
+        const data::ItemId item = static_cast<data::ItemId>(
+            inject_rng.UniformUint64(current.num_items()));
+        if (seen.insert(item).second) profile.push_back(item);
+      }
+      model.ObserveNewUser(current, current.AddUser(profile));
+    }
+  };
+  const auto expect_fresh_scores = [&](const char* stage) {
+    PinSageLite fresh = trained;
+    fresh.BeginServing(current);
+    for (data::UserId u = 0; u < current.num_users(); ++u) {
+      for (data::ItemId i = 0; i < current.num_items(); ++i) {
+        const float got = model.Score(u, i);
+        const float want = fresh.Score(u, i);
+        ASSERT_EQ(std::memcmp(&got, &want, sizeof(float)), 0)
+            << stage << ": user " << u << " item " << i;
+      }
+    }
+  };
+
+  inject(2);
+  expect_fresh_scores("inject");
+  for (int round = 0; round < 3; ++round) {
+    const data::Dataset at_checkpoint = current;
+    ASSERT_TRUE(model.CheckpointServing());
+    inject(3 + round);
+    expect_fresh_scores("inject after checkpoint");
+    ASSERT_TRUE(model.RollbackServing());
+    current = at_checkpoint;
+    expect_fresh_scores("rollback");
+    inject(1);
+    expect_fresh_scores("inject after rollback");
   }
 }
 

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -77,6 +78,60 @@ TEST(RngTest, NormalHasExpectedMoments) {
   }
   EXPECT_NEAR(sum / n, 0.0, 0.03);
   EXPECT_NEAR(sum_sq / n, 1.0, 0.05);
+}
+
+void ExpectSameState(const RngState& a, const RngState& b) {
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(a.words[i], b.words[i]);
+  EXPECT_EQ(a.has_cached_normal, b.has_cached_normal);
+  EXPECT_EQ(a.cached_normal, b.cached_normal);
+}
+
+TEST(RngTest, SkipNormalsLeavesTheStateOfDrawingThem) {
+  for (const bool start_cached : {false, true}) {
+    for (const std::size_t n : {0, 1, 2, 3, 4, 7, 10, 1001}) {
+      SCOPED_TRACE("n=" + std::to_string(n) +
+                   (start_cached ? " from a cached deviate" : ""));
+      Rng drawn(testhelpers::TestSeed(17));
+      Rng skipped(testhelpers::TestSeed(17));
+      if (start_cached) {
+        drawn.Normal();
+        skipped.Normal();
+        ASSERT_TRUE(skipped.SaveState().has_cached_normal);
+      }
+      for (std::size_t i = 0; i < n; ++i) drawn.Normal();
+      skipped.SkipNormals(n);
+      ExpectSameState(skipped.SaveState(), drawn.SaveState());
+      EXPECT_EQ(skipped.Normal(), drawn.Normal());
+      EXPECT_EQ(skipped.NextUint64(), drawn.NextUint64());
+    }
+  }
+}
+
+TEST(RngTest, StateConstructorResumesTheStream) {
+  Rng original(testhelpers::TestSeed(19));
+  original.Normal();  // leaves a cached deviate in the state
+  Rng resumed(original.SaveState());
+  EXPECT_EQ(resumed.Normal(), original.Normal());
+  EXPECT_EQ(resumed.NextUint64(), original.NextUint64());
+}
+
+TEST(RngTest, RngStateCodecRoundTripsAndRejectsShortReads) {
+  Rng rng(testhelpers::TestSeed(23));
+  rng.Normal();
+  const RngState state = rng.SaveState();
+  std::ostringstream out;
+  WriteRngState(out, state);
+  const std::string bytes = out.str();
+
+  std::istringstream in(bytes);
+  RngState read;
+  ASSERT_TRUE(ReadRngState(in, &read));
+  ExpectSameState(read, state);
+
+  for (std::size_t size = 0; size < bytes.size(); ++size) {
+    std::istringstream truncated(bytes.substr(0, size));
+    EXPECT_FALSE(ReadRngState(truncated, &read)) << "size " << size;
+  }
 }
 
 TEST(RngTest, SampleWithoutReplacementIsDistinct) {
