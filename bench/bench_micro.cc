@@ -1,6 +1,7 @@
 // Google-benchmark microbenchmarks for the substrate hot paths: balanced
 // tree construction, masked tree-walk decisions, BPR training epochs,
-// black-box query scoring, and top-k selection.
+// black-box query scoring (per score and per query-round row), and top-k
+// selection (allocating and per-row forms).
 
 #include <benchmark/benchmark.h>
 
@@ -126,6 +127,35 @@ void BM_PinSageScore(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PinSageScore);
+
+// One query-round row: 101 candidates (the target plus 100 negatives)
+// scored through the Recommender interface, as the oracle scores them.
+// `score_ns` is the time per candidate score.
+void BM_PinSageScoreRow(benchmark::State& state) {
+  util::Rng split_rng(37);
+  const auto split = data::SplitDataset(World().dataset.target, split_rng);
+  rec::PinSageLite model;
+  util::Rng rng(41);
+  model.Fit(split.train, 3, rng);
+  const rec::Recommender& recommender = model;
+  const std::size_t num_items = split.train.num_items();
+  std::vector<data::ItemId> candidates(101);
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    candidates[i] = static_cast<data::ItemId>((i * 7) % num_items);
+  }
+  std::vector<float> row(candidates.size());
+  data::UserId user = 0;
+  for (auto _ : state) {
+    recommender.ScoreCandidatesInto(user, candidates, row.data());
+    benchmark::DoNotOptimize(row.data());
+    benchmark::ClobberMemory();
+    user = (user + 1) % static_cast<data::UserId>(split.train.num_users());
+  }
+  state.counters["score_ns"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * candidates.size()) * 1e-9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_PinSageScoreRow);
 
 void BM_PinSageObserveNewUser(benchmark::State& state) {
   util::Rng split_rng(37);
@@ -261,6 +291,43 @@ void BM_TopK(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * scores.size());
 }
 BENCHMARK(BM_TopK)->Arg(101)->Arg(1000)->Arg(10000);
+
+// The query round's select: Top-20 of each row of a rows x cols block,
+// into a caller buffer. Args: input order (0 random, 1 ascending,
+// 2 descending, 3 all equal), cols, rows. `row_ns` is the time per row.
+void BM_TopKPerRow(benchmark::State& state) {
+  const int order = static_cast<int>(state.range(0));
+  const std::size_t cols = static_cast<std::size_t>(state.range(1));
+  const std::size_t rows = static_cast<std::size_t>(state.range(2));
+  const std::size_t k = 20;
+  util::Rng rng(47);
+  std::vector<float> block(rows * cols);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t c = 0; c < cols; ++c) {
+      const float rising = static_cast<float>(c);
+      const float random = static_cast<float>(rng.UniformDouble());
+      block[r * cols + c] = order == 0   ? random
+                            : order == 1 ? rising
+                            : order == 2 ? -rising
+                                         : 1.0f;
+    }
+  }
+  std::vector<std::size_t> top(rows * k);
+  for (auto _ : state) {
+    math::TopKPerRow(block.data(), rows, cols, k, top.data());
+    benchmark::DoNotOptimize(top.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["row_ns"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * rows) * 1e-9,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_TopKPerRow)
+    ->Args({0, 101, 50})
+    ->Args({1, 101, 50})
+    ->Args({2, 101, 50})
+    ->Args({3, 101, 50})
+    ->Args({0, 1100, 1});
 
 void BM_SyntheticGeneration(benchmark::State& state) {
   for (auto _ : state) {

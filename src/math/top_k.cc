@@ -18,64 +18,130 @@ struct DescendingByScore {
   }
 };
 
-/// One kept candidate of the bounded-heap selection.
-struct HeapEntry {
+/// The same order over indices into a raw row. A function object (not a
+/// function pointer) so the std algorithms inline every comparison.
+struct RowRanksBetter {
+  const float* scores;
+  bool operator()(std::size_t a, std::size_t b) const {
+    if (scores[a] != scores[b]) return scores[a] > scores[b];
+    return a < b;
+  }
+};
+
+/// Largest k served by the insertion buffer; larger k use the heap.
+constexpr std::size_t kInsertionMaxK = 64;
+
+/// Stack slots of the insertion buffer: its k entries slide up through
+/// them and are copied back to the bottom when they reach the top.
+constexpr std::size_t kInsertionSlots = 4 * kInsertionMaxK;
+
+/// One kept candidate of the insertion buffer.
+struct Kept {
   float score;
   std::size_t index;
 };
 
-/// Strict "ranks better than" under the Top-k contract: higher score
-/// first, lower index on ties. Used both as the heap comparator (the heap
-/// root is then the *worst* kept entry) and for the final best-first sort.
-inline bool RanksBetter(const HeapEntry& a, const HeapEntry& b) {
-  if (a.score != b.score) return a.score > b.score;
-  return a.index < b.index;
+// Both selects scan indices in ascending order, so a candidate always has
+// a larger index than everything already kept: it ranks better than a
+// kept entry exactly when its score is strictly greater. Ties therefore
+// cost nothing and keep the lower index, as the sort contract demands.
+
+/// Top-k for 0 < k <= kInsertionMaxK, k < n: the k best so far, sorted
+/// worst first in the window kept[lo, lo + k). A candidate costs one
+/// compare against the worst kept score. An accepted one drops the worst
+/// entry; if it beats the best it is appended above the window, which
+/// slides up one slot (O(1), so ascending rows are cheap), otherwise it
+/// slides into place from the bottom (at most k moves).
+void InsertionSelect(const float* scores, std::size_t n, std::size_t k,
+                     std::size_t* out) {
+  // Left uninitialized: only slots already written are read, and
+  // clearing 4 KB would cost a fair share of a 101-wide row.
+  Kept kept[kInsertionSlots];
+  kept[0] = {scores[0], 0};
+  for (std::size_t i = 1; i < k; ++i) {
+    const float score = scores[i];
+    std::size_t p = i;
+    while (p > 0 && !(kept[p - 1].score < score)) {
+      kept[p] = kept[p - 1];
+      --p;
+    }
+    kept[p] = {score, i};
+  }
+  std::size_t lo = 0;
+  float worst = kept[0].score;
+  float best = kept[k - 1].score;
+  for (std::size_t i = k; i < n; ++i) {
+    const float score = scores[i];
+    if (!(score > worst)) continue;
+    if (score > best) {
+      if (lo + k == kInsertionSlots) {
+        std::copy(kept + lo, kept + lo + k, kept);
+        lo = 0;
+      }
+      kept[lo + k] = {score, i};
+      ++lo;
+      best = score;
+    } else {
+      // The best kept entry stops the slide, so it needs no bound check.
+      Kept* window = kept + lo;
+      std::size_t p = 0;
+      while (score > window[p + 1].score) {
+        window[p] = window[p + 1];
+        ++p;
+      }
+      window[p] = {score, i};
+    }
+    worst = kept[lo].score;
+  }
+  for (std::size_t j = 0; j < k; ++j) out[j] = kept[lo + k - 1 - j].index;
+}
+
+/// Top-k for larger k: a max-heap of indices under RowRanksBetter kept in
+/// `out` itself, so its root is the worst kept entry. An accepted
+/// candidate replaces the root and sifts down; the heap is sorted last.
+void HeapSelect(const float* scores, std::size_t n, std::size_t k,
+                std::size_t* out) {
+  const RowRanksBetter better{scores};
+  std::iota(out, out + k, std::size_t{0});
+  std::make_heap(out, out + k, better);
+  for (std::size_t i = k; i < n; ++i) {
+    if (!(scores[i] > scores[out[0]])) continue;
+    std::size_t hole = 0;
+    for (std::size_t child = 1; child < k; child = 2 * hole + 1) {
+      if (child + 1 < k && better(out[child], out[child + 1])) ++child;
+      if (!(scores[i] > scores[out[child]])) break;
+      out[hole] = out[child];
+      hole = child;
+    }
+    out[hole] = i;
+  }
+  std::sort(out, out + k, better);
+}
+
+/// Selects the Top-min(k, n) of `scores[0, n)` into `out`, best first.
+void SelectInto(const float* scores, std::size_t n, std::size_t k,
+                std::size_t* out) CA_HOT_PATH {
+  if (k >= n) {
+    std::iota(out, out + n, std::size_t{0});
+    std::sort(out, out + n, RowRanksBetter{scores});
+  } else if (k <= kInsertionMaxK) {
+    if (k > 0) InsertionSelect(scores, n, k, out);
+  } else {
+    HeapSelect(scores, n, k, out);
+  }
 }
 
 }  // namespace
 
 std::vector<std::size_t> TopKIndices(const float* scores, std::size_t n,
-                                     std::size_t k) CA_HOT_PATH {
-  if (k >= n) {
-    // Full argsort: the heap degenerates to a total sort anyway, and the
-    // index-array path reuses the reference comparator directly.
-    std::vector<std::size_t> indices(n);
-    std::iota(indices.begin(), indices.end(), 0U);
-    std::sort(indices.begin(), indices.end(),
-              [scores](std::size_t a, std::size_t b) {
-                if (scores[a] != scores[b]) return scores[a] > scores[b];
-                return a < b;
-              });
-    return indices;
-  }
-
-  // Bounded partial heap: `heap` holds the k best seen so far as a
-  // max-heap under RanksBetter, so the root is the worst kept entry and
-  // one comparison decides whether a new candidate displaces it. Scanning
-  // indices in ascending order makes tie handling free: an equal-score
-  // candidate always has a larger index than everything already kept, so
-  // it never ranks better than the root it would replace.
-  std::vector<HeapEntry> heap;
-  heap.reserve(k);
-  for (std::size_t i = 0; i < n; ++i) {
-    const HeapEntry candidate{scores[i], i};
-    if (heap.size() < k) {
-      heap.push_back(candidate);
-      std::push_heap(heap.begin(), heap.end(), RanksBetter);
-    } else if (RanksBetter(candidate, heap.front())) {
-      std::pop_heap(heap.begin(), heap.end(), RanksBetter);
-      heap.back() = candidate;
-      std::push_heap(heap.begin(), heap.end(), RanksBetter);
-    }
-  }
-  std::sort(heap.begin(), heap.end(), RanksBetter);
-  std::vector<std::size_t> result(heap.size());
-  for (std::size_t i = 0; i < heap.size(); ++i) result[i] = heap[i].index;
+                                     std::size_t k) {
+  std::vector<std::size_t> result(std::min(k, n));
+  SelectInto(scores, n, k, result.data());
   return result;
 }
 
 std::vector<std::size_t> TopKIndices(const std::vector<float>& scores,
-                                     std::size_t k) CA_HOT_PATH {
+                                     std::size_t k) {
   return TopKIndices(scores.data(), scores.size(), k);
 }
 
@@ -99,9 +165,7 @@ void TopKPerRow(const float* scores, std::size_t rows, std::size_t cols,
   CA_CHECK_LE(k, cols);
   CA_CHECK(out != nullptr);
   for (std::size_t r = 0; r < rows; ++r) {
-    const std::vector<std::size_t> top =
-        TopKIndices(scores + r * cols, cols, k);
-    std::copy(top.begin(), top.end(), out + r * k);
+    SelectInto(scores + r * cols, cols, k, out + r * k);
   }
 }
 

@@ -10,12 +10,10 @@ namespace copyattack::math {
 /// Ties break toward the lower index so the ranking is deterministic.
 /// If `k >= scores.size()` the full argsort (descending) is returned.
 ///
-/// Selection runs on a bounded partial heap of `k` entries (one pass over
-/// the scores, O(n log k) worst case, O(k) extra memory) instead of
-/// materializing and partially sorting an index array of all `n`
-/// candidates — the Top-k serving hot path touches this on every oracle
-/// query. Bit-identical to the sorted reference `TopKIndicesBySort`
-/// (equivalence is enforced by tests).
+/// Selection is exact and allocation-free apart from the returned vector:
+/// k <= 64 keeps a sorted insertion buffer on the stack, larger k a heap
+/// inside the output, and k >= n sorts all indices. Bit-identical to the
+/// sorted reference `TopKIndicesBySort` (equivalence is enforced by tests).
 std::vector<std::size_t> TopKIndices(const std::vector<float>& scores,
                                      std::size_t k);
 
@@ -28,7 +26,7 @@ std::vector<std::size_t> TopKIndices(const float* scores, std::size_t n,
 /// Reference implementation of `TopKIndices` via full index argsort
 /// (std::partial_sort over all indices). Kept for the equivalence tests
 /// and as documentation of the ranking contract; production callers use
-/// the heap-based `TopKIndices`.
+/// the selecting `TopKIndices`.
 std::vector<std::size_t> TopKIndicesBySort(const std::vector<float>& scores,
                                            std::size_t k);
 
@@ -36,7 +34,9 @@ std::vector<std::size_t> TopKIndicesBySort(const std::vector<float>& scores,
 /// score block in one call (the batched-oracle form: one row per queried
 /// user). Row `r`'s result occupies `out[r * k .. r * k + k)`, best
 /// first, with the same deterministic tie-breaking as `TopKIndices`.
-/// Requires `k <= cols`; `out` must hold `rows * k` entries.
+/// Requires `k <= cols`; `out` must hold `rows * k` entries. Allocates
+/// nothing: the query round calls it once per round, and `rows == 1`
+/// serves a single query.
 void TopKPerRow(const float* scores, std::size_t rows, std::size_t cols,
                 std::size_t k, std::size_t* out);
 

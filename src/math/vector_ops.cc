@@ -9,28 +9,13 @@
 
 namespace copyattack::math {
 
-// The three kernels below sit at the bottom of scoring, fold-in, BPR
-// training, and k-means. They are written so the compiler auto-vectorizes
-// them without -ffast-math: reductions use four independent accumulators
+// Dot (inline in the header), Axpy and SquaredDistance sit at the bottom
+// of scoring, fold-in, BPR training, and k-means. They are written so the
+// compiler auto-vectorizes them without -ffast-math: reductions use four independent accumulators
 // (breaking the sequential float dependence chain into four lanes), and
 // `__restrict` tells the optimizer the spans do not overlap. The summation
 // order is fixed by the implementation, so results stay bit-deterministic
 // run to run.
-
-float Dot(const float* __restrict a, const float* __restrict b,
-          std::size_t n) CA_HOT_PATH {
-  float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    s0 += a[i] * b[i];
-    s1 += a[i + 1] * b[i + 1];
-    s2 += a[i + 2] * b[i + 2];
-    s3 += a[i + 3] * b[i + 3];
-  }
-  float sum = (s0 + s1) + (s2 + s3);
-  for (; i < n; ++i) sum += a[i] * b[i];
-  return sum;
-}
 
 void Axpy(float alpha, const float* __restrict x, float* __restrict y,
           std::size_t n) CA_HOT_PATH {

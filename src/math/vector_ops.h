@@ -4,11 +4,28 @@
 #include <cstddef>
 #include <vector>
 
+#include "util/annotations.h"
+
 namespace copyattack::math {
 
 /// Dot product of two equal-length float spans. Accumulation order is
-/// fixed (4-way unrolled lanes, then a tail) and deterministic.
-float Dot(const float* a, const float* b, std::size_t n);
+/// fixed and deterministic: four strided accumulators, summed as
+/// `(s0 + s1) + (s2 + s3)`, then the tail. Defined here so per-candidate
+/// scoring loops inline it instead of calling out per product.
+inline float Dot(const float* __restrict a, const float* __restrict b,
+                 std::size_t n) CA_HOT_PATH {
+  float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    s0 += a[i] * b[i];
+    s1 += a[i + 1] * b[i + 1];
+    s2 += a[i + 2] * b[i + 2];
+    s3 += a[i + 3] * b[i + 3];
+  }
+  float sum = (s0 + s1) + (s2 + s3);
+  for (; i < n; ++i) sum += a[i] * b[i];
+  return sum;
+}
 
 /// y += alpha * x, element-wise over `n` floats. `x` and `y` must not
 /// overlap (the implementation is restrict-qualified so it vectorizes).

@@ -1,10 +1,48 @@
 #include "rec/black_box.h"
 
+#include <algorithm>
+
 #include "math/top_k.h"
 #include "obs/obs.h"
 #include "util/check.h"
 
 namespace copyattack::rec {
+namespace {
+
+/// Score row(s) and selected positions of the query kernels. One per
+/// thread, because threads may query one oracle concurrently; it grows to
+/// the largest round seen and is reused, so a warm round allocates only
+/// the answer lists it returns.
+struct QueryScratch {
+  std::vector<float> scores;
+  std::vector<std::size_t> top;
+};
+
+QueryScratch& ThreadQueryScratch() {
+  thread_local QueryScratch scratch;
+  return scratch;
+}
+
+/// Scores `rows` equal-length candidate lists into the scratch block and
+/// selects the Top-`select` positions of each row.
+void ScoreAndSelect(const Recommender& model,
+                    const data::UserId* users,
+                    const std::vector<data::ItemId>* candidates,
+                    std::size_t rows, std::size_t cols, std::size_t select,
+                    QueryScratch& scratch) CA_HOT_PATH {
+  scratch.scores.resize(rows * cols);
+  scratch.top.resize(rows * select);
+  for (std::size_t row = 0; row < rows; ++row) {
+    model.ScoreCandidatesInto(users[row], candidates[row],
+                              scratch.scores.data() + row * cols);
+  }
+  if (select > 0) {
+    math::TopKPerRow(scratch.scores.data(), rows, cols, select,
+                     scratch.top.data());
+  }
+}
+
+}  // namespace
 
 const char* ToString(BlackBoxStatus status) {
   switch (status) {
@@ -46,13 +84,13 @@ std::vector<data::ItemId> BlackBoxRecommender::QueryTopK(
   OBS_SCOPED_TIMER_US("blackbox.query_topk_us");
   OBS_COUNTER_INC("blackbox.queries");
   query_count_.fetch_add(1, std::memory_order_relaxed);
-  const std::vector<float> scores =
-      model_->ScoreCandidates(user, candidates);
-  const std::vector<std::size_t> top = math::TopKIndices(scores, k);
-  std::vector<data::ItemId> items;
-  items.reserve(top.size());
-  for (const std::size_t index : top) {
-    items.push_back(candidates[index]);
+  const std::size_t select = std::min(k, candidates.size());
+  QueryScratch& scratch = ThreadQueryScratch();
+  ScoreAndSelect(*model_, &user, &candidates, 1, candidates.size(), select,
+                 scratch);
+  std::vector<data::ItemId> items(select);
+  for (std::size_t j = 0; j < select; ++j) {
+    items[j] = candidates[scratch.top[j]];
   }
   return items;
 }
@@ -75,23 +113,19 @@ std::vector<QueryResult> BlackBoxRecommender::QueryTopKBatch(
   OBS_HIST_OBSERVE("blackbox.batch_users", users.size());
   query_count_.fetch_add(users.size(), std::memory_order_relaxed);
 
-  // One contiguous users x candidates score block, filled row-by-row with
-  // the allocation-free scoring primitive, then one bounded-heap select
-  // per row. The per-row results are bit-identical to QueryTopK's because
-  // TopKIndices is the same selection either way.
+  // One contiguous users x candidates score block, filled row by row
+  // with the model's row scorer, then one exact select per row. The
+  // per-row results are bit-identical to QueryTopK's because both run the
+  // same kernels.
   const std::size_t select = std::min(k, cols);
-  std::vector<float> scores(users.size() * cols);
-  std::vector<std::size_t> top(users.size() * select);
-  for (std::size_t row = 0; row < users.size(); ++row) {
-    model_->ScoreCandidatesInto(users[row], candidates[row],
-                                scores.data() + row * cols);
-  }
-  math::TopKPerRow(scores.data(), users.size(), cols, select, top.data());
+  QueryScratch& scratch = ThreadQueryScratch();
+  ScoreAndSelect(*model_, users.data(), candidates.data(), users.size(),
+                 cols, select, scratch);
   for (std::size_t row = 0; row < users.size(); ++row) {
     std::vector<data::ItemId>& items = results[row].items;
-    items.reserve(select);
+    items.resize(select);
     for (std::size_t j = 0; j < select; ++j) {
-      items.push_back(candidates[row][top[row * select + j]]);
+      items[j] = candidates[row][scratch.top[row * select + j]];
     }
   }
   return results;

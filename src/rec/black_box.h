@@ -115,9 +115,10 @@ class BlackBoxRecommender final : public BlackBoxInterface {
 
   /// Batched query access: answers `users.size()` Top-k queries in one
   /// blocked call. All candidate lists must have equal length, so the
-  /// scores form one dense row-major users x candidates block that is
-  /// filled in a single pass and selected with the bounded partial heap
-  /// (math::TopKPerRow) — no per-query allocation, no per-user full sort.
+  /// scores form one dense row-major users x candidates block, filled by
+  /// the model's row scorer (`Recommender::ScoreCandidatesInto`) and
+  /// selected per row by the exact `math::TopKPerRow`, both into reused
+  /// per-thread scratch: the only allocations are the returned lists.
   /// Each answered query still counts once on the query meter, and every
   /// result is bit-identical to the corresponding per-query `QueryTopK`.
   std::vector<QueryResult> QueryTopKBatch(

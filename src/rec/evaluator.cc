@@ -93,6 +93,34 @@ MetricsByK EvaluateHeldOut(const Recommender& model,
   return metrics;
 }
 
+std::vector<std::vector<data::ItemId>> SampleHeldOutNegatives(
+    const data::Dataset& filter, const std::vector<data::HeldOut>& pairs,
+    std::size_t num_negatives, util::Rng& rng) {
+  std::vector<std::vector<data::ItemId>> negatives;
+  negatives.reserve(pairs.size());
+  for (const data::HeldOut& pair : pairs) {
+    negatives.push_back(
+        SampleNegatives(filter, pair.user, pair.item, num_negatives, rng));
+  }
+  return negatives;
+}
+
+MetricsByK EvaluateHeldOut(
+    const Recommender& model, const std::vector<data::HeldOut>& pairs,
+    const std::vector<std::vector<data::ItemId>>& negatives,
+    const std::vector<std::size_t>& ks) {
+  CA_CHECK(!ks.empty());
+  CA_CHECK_EQ(negatives.size(), pairs.size());
+  MetricsByK metrics;
+  for (const std::size_t k : ks) metrics[k] = TopKMetrics();
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    AccumulateRanked(model, pairs[i].user, pairs[i].item, negatives[i], ks,
+                     metrics);
+  }
+  FinalizeAll(metrics);
+  return metrics;
+}
+
 MetricsByK EvaluatePromotion(const Recommender& model,
                              const data::Dataset& filter,
                              data::ItemId target_item,

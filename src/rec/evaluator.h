@@ -54,6 +54,22 @@ MetricsByK EvaluateHeldOut(const Recommender& model,
                            const std::vector<std::size_t>& ks,
                            std::size_t num_negatives, util::Rng& rng);
 
+/// The negatives `EvaluateHeldOut` would draw from `rng`: entry `i` holds
+/// those of `pairs[i]`, sampled in pair order, so the rng ends where the
+/// drawing form of `EvaluateHeldOut` leaves it.
+std::vector<std::vector<data::ItemId>> SampleHeldOutNegatives(
+    const data::Dataset& filter, const std::vector<data::HeldOut>& pairs,
+    std::size_t num_negatives, util::Rng& rng);
+
+/// `EvaluateHeldOut` over pre-drawn negatives (`negatives[i]` belongs to
+/// `pairs[i]`, as `SampleHeldOutNegatives` returns them): the same metrics
+/// as the drawing form for the same draws. Lets a caller that evaluates
+/// one split many times (early stopping) draw its negatives once.
+MetricsByK EvaluateHeldOut(
+    const Recommender& model, const std::vector<data::HeldOut>& pairs,
+    const std::vector<std::vector<data::ItemId>>& negatives,
+    const std::vector<std::size_t>& ks);
+
 /// Evaluates the promotion of `target_item` over `users` (paper §3: does
 /// the target item appear in each user's Top-k?). Users who already
 /// interacted with the target item are skipped. The candidate set per user

@@ -249,4 +249,27 @@ float PinSageLite::Score(data::UserId user, data::ItemId item) const {
   return score;
 }
 
+void PinSageLite::ScoreCandidatesInto(
+    data::UserId user, const std::vector<data::ItemId>& candidates,
+    float* out) const CA_HOT_PATH {
+  CA_CHECK_LT(user, user_reps_.rows());
+  const std::size_t dim = config_.embedding_dim;
+  const std::size_t num_items = items_.rows();
+  const float* p = user_reps_.Row(user);
+  const float alpha = config_.self_weight;
+  for (std::size_t c = 0; c < candidates.size(); ++c) {
+    const data::ItemId item = candidates[c];
+    CA_CHECK_LT(item, num_items);
+    float score = alpha * math::Dot(p, items_.Row(item), dim);
+    if (item_user_count_[item] > 0) {
+      score += item_neighbor_weight_[item] *
+               math::Dot(p, item_user_sum_.Row(item), dim);
+    }
+    if (item < item_intercept_.size()) {
+      score += item_intercept_[item];
+    }
+    out[c] = score;
+  }
+}
+
 }  // namespace copyattack::rec

@@ -74,6 +74,12 @@ class PinSageLite final : public Recommender {
   bool CheckpointServing() override;
   bool RollbackServing() override;
   float Score(data::UserId user, data::ItemId item) const override;
+  /// Row loop over `Score`: checks the user and loads p_u once, then
+  /// scores each candidate with the same operations in the same order,
+  /// so every entry equals `Score(user, candidates[i])` bit for bit.
+  void ScoreCandidatesInto(data::UserId user,
+                           const std::vector<data::ItemId>& candidates,
+                           float* out) const override;
   std::string name() const override { return "PinSageLite"; }
 
   /// Trained item embeddings q (exposed for diagnostics and tests).

@@ -72,10 +72,12 @@ class Recommender {
 
   /// Scores a candidate list into a caller-provided buffer of
   /// `candidates.size()` floats — the allocation-free row primitive the
-  /// batched oracle uses to fill one contiguous user x item score block.
-  void ScoreCandidatesInto(data::UserId user,
-                           const std::vector<data::ItemId>& candidates,
-                           float* out) const;
+  /// oracle uses to fill one contiguous user x item score block. The
+  /// default calls `Score` per candidate; a model may override it with a
+  /// row loop, which must return exactly what `Score` returns per item.
+  virtual void ScoreCandidatesInto(
+      data::UserId user, const std::vector<data::ItemId>& candidates,
+      float* out) const;
 };
 
 }  // namespace copyattack::rec

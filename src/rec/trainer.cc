@@ -14,6 +14,13 @@ TrainReport TrainWithEarlyStopping(Recommender& model,
   TrainReport report;
   model.InitTraining(split.train, rng);
 
+  // The validation negatives depend only on the split and eval_seed, so
+  // they are drawn once and every epoch ranks against the same lists.
+  util::Rng valid_rng(options.eval_seed);
+  const std::vector<std::vector<data::ItemId>> valid_negatives =
+      SampleHeldOutNegatives(full, split.valid, options.num_negatives,
+                             valid_rng);
+
   std::size_t epochs_since_best = 0;
   for (std::size_t epoch = 0; epoch < options.max_epochs; ++epoch) {
     {
@@ -25,10 +32,9 @@ TrainReport TrainWithEarlyStopping(Recommender& model,
     report.epochs_run = epoch + 1;
 
     model.BeginServing(split.train);
-    util::Rng eval_rng(options.eval_seed);  // same negatives every epoch
-    const MetricsByK valid =
-        EvaluateHeldOut(model, full, split.valid, {options.eval_k},
-                        options.num_negatives, eval_rng);
+    const MetricsByK valid = EvaluateHeldOut(model, split.valid,
+                                             valid_negatives,
+                                             {options.eval_k});
     const double hr = valid.at(options.eval_k).hr;
     if (hr > report.best_valid_hr) {
       report.best_valid_hr = hr;

@@ -97,8 +97,12 @@ double Rng::UniformDouble(double lo, double hi) {
 
 double Rng::Normal() {
   if (has_cached_normal_) {
+    // Zero the consumed deviate so equal stream positions save equal
+    // states.
+    const double cached = cached_normal_;
     has_cached_normal_ = false;
-    return cached_normal_;
+    cached_normal_ = 0.0;
+    return cached;
   }
   double u, v, s;
   do {
@@ -119,12 +123,14 @@ double Rng::Normal(double mean, double stddev) {
 void Rng::SkipNormals(std::size_t n) {
   if (n > 0 && has_cached_normal_) {
     has_cached_normal_ = false;
+    cached_normal_ = 0.0;
     --n;
   }
   // Two calls to Normal() consume one accepted point of the polar method,
   // so every point but the last needs only Normal()'s rejection test. The
-  // last one or two deviates are drawn for real: the last point's second
-  // deviate stays in the state, cached or (once consumed) stale.
+  // last one or two deviates are drawn for real, so the state ends exactly
+  // as Normal() leaves it: the last point's second deviate cached, or
+  // consumed and zeroed.
   if (n > 2) {
     const std::size_t points = (n - 1) / 2;
     n -= 2 * points;
@@ -175,7 +181,9 @@ RngState Rng::SaveState() const {
 void Rng::RestoreState(const RngState& state) {
   for (std::size_t i = 0; i < 4; ++i) state_[i] = state.words[i];
   has_cached_normal_ = state.has_cached_normal;
-  cached_normal_ = state.cached_normal;
+  // States saved before consumed deviates were zeroed may carry a dead
+  // value; drop it so the restored generator saves canonically.
+  cached_normal_ = state.has_cached_normal ? state.cached_normal : 0.0;
 }
 
 }  // namespace copyattack::util

@@ -341,6 +341,56 @@ TEST(TopKTest, PerRowMatchesRowWiseSelection) {
   }
 }
 
+// The select has three internal paths: a stack insertion buffer for
+// k <= 64, a heap inside the output above that, and a full sort for
+// k >= n. Every k around those boundaries must match the sorted reference
+// exactly, on tie-heavy rows in every input order, through both the
+// vector form and the allocation-free per-row form.
+TEST(TopKTest, SelectMatchesSortedReferenceOnEveryPath) {
+  util::Rng rng(testhelpers::TestSeed(41));
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2},
+                              std::size_t{20}, std::size_t{21},
+                              std::size_t{64}, std::size_t{65},
+                              std::size_t{66}, std::size_t{101},
+                              std::size_t{500}, std::size_t{1100}}) {
+    for (int order = 0; order < 4; ++order) {
+      std::vector<float> scores(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        // Quantized to 1/16 so ties are frequent at every n.
+        const float random =
+            static_cast<float>(rng.UniformInt(0, 16)) * 0.0625f;
+        const float rising = static_cast<float>(i / 3) * 0.0625f;
+        scores[i] = order == 0   ? random
+                    : order == 1 ? rising
+                    : order == 2 ? -rising
+                                 : 0.5f;
+      }
+      for (const std::size_t k :
+           {std::size_t{1}, std::size_t{19}, std::size_t{20},
+            std::size_t{21}, std::size_t{64}, std::size_t{65}, n - 1, n,
+            n + 5}) {
+        if (k == 0) continue;
+        SCOPED_TRACE("n " + std::to_string(n) + " order " +
+                     std::to_string(order) + " k " + std::to_string(k));
+        const auto expected = TopKIndicesBySort(scores, k);
+        EXPECT_EQ(TopKIndices(scores, k), expected);
+        if (k > n) continue;
+        std::vector<float> block;
+        for (int r = 0; r < 3; ++r) {
+          block.insert(block.end(), scores.begin(), scores.end());
+        }
+        std::vector<std::size_t> out(3 * k, n);
+        TopKPerRow(block.data(), 3, n, k, out.data());
+        for (std::size_t r = 0; r < 3; ++r) {
+          EXPECT_EQ(std::vector<std::size_t>(out.begin() + r * k,
+                                             out.begin() + (r + 1) * k),
+                    expected);
+        }
+      }
+    }
+  }
+}
+
 TEST(SamplingTest, AliasTableMatchesWeights) {
   const std::vector<double> weights = {1.0, 2.0, 7.0};
   AliasTable table(weights);

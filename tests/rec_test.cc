@@ -86,6 +86,30 @@ TEST_F(RecFixture, EarlyStoppingTrainerRuns) {
   EXPECT_GT(report.test_hr, 0.2);
 }
 
+// Early stopping ranks every epoch against negatives drawn once; the
+// pre-drawn form must give exactly the drawing form's metrics and leave
+// the rng at the same position.
+TEST_F(RecFixture, PreDrawnNegativesMatchDrawingEvaluation) {
+  PinSageLite model;
+  util::Rng rng(testhelpers::TestSeed(3));
+  model.Fit(split_.train, 5, rng);
+  util::Rng drawing_rng(testhelpers::TestSeed(5));
+  util::Rng predrawn_rng(testhelpers::TestSeed(5));
+  const MetricsByK drawing =
+      EvaluateHeldOut(model, world_.dataset.target, split_.valid, {5, 10},
+                      50, drawing_rng);
+  const auto negatives = SampleHeldOutNegatives(
+      world_.dataset.target, split_.valid, 50, predrawn_rng);
+  const MetricsByK predrawn =
+      EvaluateHeldOut(model, split_.valid, negatives, {5, 10});
+  for (const std::size_t k : {std::size_t{5}, std::size_t{10}}) {
+    EXPECT_EQ(predrawn.at(k).hr, drawing.at(k).hr);
+    EXPECT_EQ(predrawn.at(k).ndcg, drawing.at(k).ndcg);
+    EXPECT_EQ(predrawn.at(k).count, drawing.at(k).count);
+  }
+  EXPECT_EQ(predrawn_rng.NextUint64(), drawing_rng.NextUint64());
+}
+
 TEST_F(RecFixture, MfFoldInHandlesNewUsers) {
   MatrixFactorization mf;
   util::Rng rng(testhelpers::TestSeed(3));
@@ -220,6 +244,61 @@ TEST_F(RecFixture, PinSageScoresAfterInjectAndRollbackMatchFreshServing) {
     expect_fresh_scores("rollback");
     inject(1);
     expect_fresh_scores("inject after rollback");
+  }
+}
+
+// PinSageLite's row scorer must return exactly what Score returns, item
+// by item, in every serving state the attack drives the model through.
+TEST_F(RecFixture, PinSageRowScorerMatchesScoreBitForBit) {
+  PinSageLite model;
+  util::Rng rng(testhelpers::TestSeed(3));
+  model.Fit(split_.train, 5, rng);
+
+  data::Dataset current = split_.train;
+  util::Rng inject_rng(testhelpers::TestSeed(13));
+  const auto inject = [&](int users) {
+    for (int i = 0; i < users; ++i) {
+      data::Profile profile = {static_cast<data::ItemId>(i % 3)};
+      std::set<data::ItemId> seen(profile.begin(), profile.end());
+      for (int j = 0; j < 4; ++j) {
+        const data::ItemId item = static_cast<data::ItemId>(
+            inject_rng.UniformUint64(current.num_items()));
+        if (seen.insert(item).second) profile.push_back(item);
+      }
+      model.ObserveNewUser(current, current.AddUser(profile));
+    }
+  };
+  // All items, in reverse so the row is not simply the item order.
+  std::vector<data::ItemId> candidates(current.num_items());
+  for (std::size_t i = 0; i < candidates.size(); ++i) {
+    candidates[i] =
+        static_cast<data::ItemId>(candidates.size() - 1 - i);
+  }
+  const auto expect_row_equals_score = [&](const char* stage) {
+    std::vector<float> row(candidates.size());
+    for (data::UserId u = 0; u < current.num_users(); ++u) {
+      model.ScoreCandidatesInto(u, candidates, row.data());
+      for (std::size_t c = 0; c < candidates.size(); ++c) {
+        const float want = model.Score(u, candidates[c]);
+        ASSERT_EQ(std::memcmp(&row[c], &want, sizeof(float)), 0)
+            << stage << ": user " << u << " item " << candidates[c];
+      }
+    }
+  };
+
+  expect_row_equals_score("served");
+  inject(2);
+  expect_row_equals_score("inject");
+  for (int round = 0; round < 3; ++round) {
+    const data::Dataset at_checkpoint = current;
+    ASSERT_TRUE(model.CheckpointServing());
+    inject(3 + round);
+    expect_row_equals_score("inject after checkpoint");
+    ASSERT_TRUE(model.RollbackServing());
+    current = at_checkpoint;
+    expect_row_equals_score("rollback");
+    inject(1);
+    expect_row_equals_score("inject after rollback");
   }
 }
 

@@ -107,6 +107,36 @@ TEST(RngTest, SkipNormalsLeavesTheStateOfDrawingThem) {
   }
 }
 
+// A consumed deviate is zeroed, by Normal() and by SkipNormals alike, so
+// the saved state carries no dead value and equal stream positions save
+// equal bytes.
+TEST(RngTest, ConsumedDeviateSavesAsZero) {
+  Rng drawn(testhelpers::TestSeed(19));
+  drawn.Normal();
+  ASSERT_TRUE(drawn.SaveState().has_cached_normal);
+  drawn.Normal();
+  EXPECT_FALSE(drawn.SaveState().has_cached_normal);
+  EXPECT_EQ(drawn.SaveState().cached_normal, 0.0);
+
+  Rng skipped(testhelpers::TestSeed(19));
+  skipped.Normal();
+  skipped.SkipNormals(1);
+  EXPECT_FALSE(skipped.SaveState().has_cached_normal);
+  EXPECT_EQ(skipped.SaveState().cached_normal, 0.0);
+
+  // A state saved with a dead value (as older checkpoints hold) still
+  // resumes the stream and saves canonically.
+  RngState legacy = drawn.SaveState();
+  legacy.cached_normal = 1.25;
+  Rng restored(legacy);
+  EXPECT_EQ(restored.SaveState().cached_normal, 0.0);
+  std::ostringstream a, b;
+  WriteRngState(a, restored.SaveState());
+  WriteRngState(b, skipped.SaveState());
+  EXPECT_EQ(a.str(), b.str());
+  EXPECT_EQ(restored.Normal(), skipped.Normal());
+}
+
 TEST(RngTest, StateConstructorResumesTheStream) {
   Rng original(testhelpers::TestSeed(19));
   original.Normal();  // leaves a cached deviate in the state
