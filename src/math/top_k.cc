@@ -28,7 +28,8 @@ struct RowRanksBetter {
   }
 };
 
-/// Largest k served by the insertion buffer; larger k use the heap.
+/// Largest k served by the insertion buffer; larger k fall back to a
+/// partial sort.
 constexpr std::size_t kInsertionMaxK = 64;
 
 /// Stack slots of the insertion buffer: its k entries slide up through
@@ -41,7 +42,7 @@ struct Kept {
   std::size_t index;
 };
 
-// Both selects scan indices in ascending order, so a candidate always has
+// The select scans indices in ascending order, so a candidate always has
 // a larger index than everything already kept: it ranks better than a
 // kept entry exactly when its score is strictly greater. Ties therefore
 // cost nothing and keep the lower index, as the sort contract demands.
@@ -96,26 +97,16 @@ void InsertionSelect(const float* scores, std::size_t n, std::size_t k,
   for (std::size_t j = 0; j < k; ++j) out[j] = kept[lo + k - 1 - j].index;
 }
 
-/// Top-k for larger k: a max-heap of indices under RowRanksBetter kept in
-/// `out` itself, so its root is the worst kept entry. An accepted
-/// candidate replaces the root and sifts down; the heap is sorted last.
-void HeapSelect(const float* scores, std::size_t n, std::size_t k,
-                std::size_t* out) {
-  const RowRanksBetter better{scores};
-  std::iota(out, out + k, std::size_t{0});
-  std::make_heap(out, out + k, better);
-  for (std::size_t i = k; i < n; ++i) {
-    if (!(scores[i] > scores[out[0]])) continue;
-    std::size_t hole = 0;
-    for (std::size_t child = 1; child < k; child = 2 * hole + 1) {
-      if (child + 1 < k && better(out[child], out[child + 1])) ++child;
-      if (!(scores[i] > scores[out[child]])) break;
-      out[hole] = out[child];
-      hole = child;
-    }
-    out[hole] = i;
-  }
-  std::sort(out, out + k, better);
+/// Top-k for kInsertionMaxK < k < n. No caller selects that many (the
+/// query round uses k = 20), so this stays the sorted reference rather
+/// than a second select to keep in step with the first.
+void PartialSortSelect(const float* scores, std::size_t n, std::size_t k,
+                       std::size_t* out) CA_COLD_OK("k > 64, no caller") {
+  std::vector<std::size_t> indices(n);
+  std::iota(indices.begin(), indices.end(), std::size_t{0});
+  std::partial_sort(indices.begin(), indices.begin() + k, indices.end(),
+                    RowRanksBetter{scores});
+  std::copy_n(indices.begin(), k, out);
 }
 
 /// Selects the Top-min(k, n) of `scores[0, n)` into `out`, best first.
@@ -127,7 +118,7 @@ void SelectInto(const float* scores, std::size_t n, std::size_t k,
   } else if (k <= kInsertionMaxK) {
     if (k > 0) InsertionSelect(scores, n, k, out);
   } else {
-    HeapSelect(scores, n, k, out);
+    PartialSortSelect(scores, n, k, out);
   }
 }
 

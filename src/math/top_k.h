@@ -10,9 +10,9 @@ namespace copyattack::math {
 /// Ties break toward the lower index so the ranking is deterministic.
 /// If `k >= scores.size()` the full argsort (descending) is returned.
 ///
-/// Selection is exact and allocation-free apart from the returned vector:
-/// k <= 64 keeps a sorted insertion buffer on the stack, larger k a heap
-/// inside the output, and k >= n sorts all indices. Bit-identical to the
+/// Selection is exact: k <= 64 keeps a sorted insertion buffer on the
+/// stack, k >= n sorts all indices in the output, and the k in between
+/// (no caller) partial-sorts a local index vector. Bit-identical to the
 /// sorted reference `TopKIndicesBySort` (equivalence is enforced by tests).
 std::vector<std::size_t> TopKIndices(const std::vector<float>& scores,
                                      std::size_t k);
@@ -35,8 +35,8 @@ std::vector<std::size_t> TopKIndicesBySort(const std::vector<float>& scores,
 /// user). Row `r`'s result occupies `out[r * k .. r * k + k)`, best
 /// first, with the same deterministic tie-breaking as `TopKIndices`.
 /// Requires `k <= cols`; `out` must hold `rows * k` entries. Allocates
-/// nothing: the query round calls it once per round, and `rows == 1`
-/// serves a single query.
+/// nothing for k <= 64 or k == cols: the query round calls it once per
+/// round with k = 20, and `rows == 1` serves a single query.
 void TopKPerRow(const float* scores, std::size_t rows, std::size_t cols,
                 std::size_t k, std::size_t* out);
 

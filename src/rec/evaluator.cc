@@ -76,23 +76,6 @@ void FinalizeAll(MetricsByK& metrics) {
 
 }  // namespace
 
-MetricsByK EvaluateHeldOut(const Recommender& model,
-                           const data::Dataset& filter,
-                           const std::vector<data::HeldOut>& pairs,
-                           const std::vector<std::size_t>& ks,
-                           std::size_t num_negatives, util::Rng& rng) {
-  CA_CHECK(!ks.empty());
-  MetricsByK metrics;
-  for (const std::size_t k : ks) metrics[k] = TopKMetrics();
-  for (const data::HeldOut& pair : pairs) {
-    const auto negatives =
-        SampleNegatives(filter, pair.user, pair.item, num_negatives, rng);
-    AccumulateRanked(model, pair.user, pair.item, negatives, ks, metrics);
-  }
-  FinalizeAll(metrics);
-  return metrics;
-}
-
 std::vector<std::vector<data::ItemId>> SampleHeldOutNegatives(
     const data::Dataset& filter, const std::vector<data::HeldOut>& pairs,
     std::size_t num_negatives, util::Rng& rng) {
@@ -119,6 +102,18 @@ MetricsByK EvaluateHeldOut(
   }
   FinalizeAll(metrics);
   return metrics;
+}
+
+MetricsByK EvaluateHeldOut(const Recommender& model,
+                           const data::Dataset& filter,
+                           const std::vector<data::HeldOut>& pairs,
+                           const std::vector<std::size_t>& ks,
+                           std::size_t num_negatives, util::Rng& rng) {
+  // Scoring draws nothing, so drawing every pair's negatives up front
+  // consumes the rng exactly as drawing them pair by pair would.
+  return EvaluateHeldOut(
+      model, pairs, SampleHeldOutNegatives(filter, pairs, num_negatives, rng),
+      ks);
 }
 
 MetricsByK EvaluatePromotion(const Recommender& model,

@@ -232,13 +232,12 @@ void PinSageLite::ItemRepresentation(data::ItemId item,
   }
 }
 
-float PinSageLite::Score(data::UserId user, data::ItemId item) const {
-  CA_CHECK_LT(user, user_reps_.rows());
-  CA_CHECK_LT(item, items_.rows());
+// Inline so the row loop below keeps p in registers across candidates;
+// Score and ScoreCandidatesInto share this one expression, so they agree
+// bit for bit by construction.
+inline float PinSageLite::ScoreItem(const float* p, data::ItemId item) const {
   const std::size_t dim = config_.embedding_dim;
-  const float* p = user_reps_.Row(user);
-  const float alpha = config_.self_weight;
-  float score = alpha * math::Dot(p, items_.Row(item), dim);
+  float score = config_.self_weight * math::Dot(p, items_.Row(item), dim);
   if (item_user_count_[item] > 0) {
     score += item_neighbor_weight_[item] *
              math::Dot(p, item_user_sum_.Row(item), dim);
@@ -249,26 +248,21 @@ float PinSageLite::Score(data::UserId user, data::ItemId item) const {
   return score;
 }
 
+float PinSageLite::Score(data::UserId user, data::ItemId item) const {
+  CA_CHECK_LT(user, user_reps_.rows());
+  CA_CHECK_LT(item, items_.rows());
+  return ScoreItem(user_reps_.Row(user), item);
+}
+
 void PinSageLite::ScoreCandidatesInto(
     data::UserId user, const std::vector<data::ItemId>& candidates,
     float* out) const CA_HOT_PATH {
   CA_CHECK_LT(user, user_reps_.rows());
-  const std::size_t dim = config_.embedding_dim;
   const std::size_t num_items = items_.rows();
   const float* p = user_reps_.Row(user);
-  const float alpha = config_.self_weight;
   for (std::size_t c = 0; c < candidates.size(); ++c) {
-    const data::ItemId item = candidates[c];
-    CA_CHECK_LT(item, num_items);
-    float score = alpha * math::Dot(p, items_.Row(item), dim);
-    if (item_user_count_[item] > 0) {
-      score += item_neighbor_weight_[item] *
-               math::Dot(p, item_user_sum_.Row(item), dim);
-    }
-    if (item < item_intercept_.size()) {
-      score += item_intercept_[item];
-    }
-    out[c] = score;
+    CA_CHECK_LT(candidates[c], num_items);
+    out[c] = ScoreItem(p, candidates[c]);
   }
 }
 

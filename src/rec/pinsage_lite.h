@@ -75,8 +75,8 @@ class PinSageLite final : public Recommender {
   bool RollbackServing() override;
   float Score(data::UserId user, data::ItemId item) const override;
   /// Row loop over `Score`: checks the user and loads p_u once, then
-  /// scores each candidate with the same operations in the same order,
-  /// so every entry equals `Score(user, candidates[i])` bit for bit.
+  /// scores each candidate through the same `ScoreItem` as `Score`, so
+  /// every entry equals `Score(user, candidates[i])` bit for bit.
   void ScoreCandidatesInto(data::UserId user,
                            const std::vector<data::ItemId>& candidates,
                            float* out) const override;
@@ -102,6 +102,11 @@ class PinSageLite final : public Recommender {
 
   void ComputeUserRepresentation(const data::Dataset& current,
                                  data::UserId user, float* out) const;
+
+  /// Score of `item` for the user whose representation is `p`:
+  /// alpha * <p, q_i> + w_i * <p, S_i> + intercept_i. Unchecked; `Score`
+  /// and `ScoreCandidatesInto` check the ids and share this expression.
+  float ScoreItem(const float* p, data::ItemId item) const;
 
   /// Recomputes `item`'s cached neighbour weight from its user count.
   void UpdateNeighborWeight(data::ItemId item);

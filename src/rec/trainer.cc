@@ -14,38 +14,40 @@ TrainReport TrainWithEarlyStopping(Recommender& model,
   TrainReport report;
   model.InitTraining(split.train, rng);
 
-  // The validation negatives depend only on the split and eval_seed, so
-  // they are drawn once and every epoch ranks against the same lists.
-  util::Rng valid_rng(options.eval_seed);
-  const std::vector<std::vector<data::ItemId>> valid_negatives =
-      SampleHeldOutNegatives(full, split.valid, options.num_negatives,
-                             valid_rng);
+  {
+    // The validation negatives depend only on the split and eval_seed, so
+    // they are drawn once and every epoch ranks against the same lists.
+    util::Rng valid_rng(options.eval_seed);
+    const std::vector<std::vector<data::ItemId>> valid_negatives =
+        SampleHeldOutNegatives(full, split.valid, options.num_negatives,
+                               valid_rng);
 
-  std::size_t epochs_since_best = 0;
-  for (std::size_t epoch = 0; epoch < options.max_epochs; ++epoch) {
-    {
-      OBS_SPAN("rec.train_epoch");
-      OBS_SCOPED_TIMER_US("rec.train_epoch_us");
-      model.TrainEpoch(split.train, rng);
-    }
-    OBS_COUNTER_INC("rec.train_epochs");
-    report.epochs_run = epoch + 1;
+    std::size_t epochs_since_best = 0;
+    for (std::size_t epoch = 0; epoch < options.max_epochs; ++epoch) {
+      {
+        OBS_SPAN("rec.train_epoch");
+        OBS_SCOPED_TIMER_US("rec.train_epoch_us");
+        model.TrainEpoch(split.train, rng);
+      }
+      OBS_COUNTER_INC("rec.train_epochs");
+      report.epochs_run = epoch + 1;
 
-    model.BeginServing(split.train);
-    const MetricsByK valid = EvaluateHeldOut(model, split.valid,
-                                             valid_negatives,
-                                             {options.eval_k});
-    const double hr = valid.at(options.eval_k).hr;
-    if (hr > report.best_valid_hr) {
-      report.best_valid_hr = hr;
-      epochs_since_best = 0;
-    } else {
-      ++epochs_since_best;
+      model.BeginServing(split.train);
+      const MetricsByK valid = EvaluateHeldOut(model, split.valid,
+                                               valid_negatives,
+                                               {options.eval_k});
+      const double hr = valid.at(options.eval_k).hr;
+      if (hr > report.best_valid_hr) {
+        report.best_valid_hr = hr;
+        epochs_since_best = 0;
+      } else {
+        ++epochs_since_best;
+      }
+      CA_LOG(Debug) << model.name() << " epoch " << (epoch + 1)
+                    << " valid HR@" << options.eval_k << " = " << hr;
+      if (epochs_since_best >= options.patience) break;
     }
-    CA_LOG(Debug) << model.name() << " epoch " << (epoch + 1)
-                  << " valid HR@" << options.eval_k << " = " << hr;
-    if (epochs_since_best >= options.patience) break;
-  }
+  }  // frees the validation negatives before the test split draws its own
 
   model.BeginServing(split.train);
   util::Rng eval_rng(options.eval_seed + 1);

@@ -342,7 +342,7 @@ TEST(TopKTest, PerRowMatchesRowWiseSelection) {
 }
 
 // The select has three internal paths: a stack insertion buffer for
-// k <= 64, a heap inside the output above that, and a full sort for
+// k <= 64, a partial-sort fallback above that, and a full sort for
 // k >= n. Every k around those boundaries must match the sorted reference
 // exactly, on tie-heavy rows in every input order, through both the
 // vector form and the allocation-free per-row form.
