@@ -281,17 +281,6 @@ void BM_SquaredDistance(benchmark::State& state) {
 }
 BENCHMARK(BM_SquaredDistance)->Arg(16)->Arg(64)->Arg(256);
 
-void BM_TopK(benchmark::State& state) {
-  util::Rng rng(43);
-  std::vector<float> scores(static_cast<std::size_t>(state.range(0)));
-  for (auto& s : scores) s = static_cast<float>(rng.UniformDouble());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(math::TopKIndices(scores, 20));
-  }
-  state.SetItemsProcessed(state.iterations() * scores.size());
-}
-BENCHMARK(BM_TopK)->Arg(101)->Arg(1000)->Arg(10000);
-
 // The query round's select: Top-20 of each row of a rows x cols block,
 // into a caller buffer. Args: input order (0 random, 1 ascending,
 // 2 descending, 3 all equal), cols, rows. `row_ns` is the time per row.

@@ -130,10 +130,9 @@ double CopyAttack::RunEpisode(AttackEnvironment& env, util::Rng& rng) {
 
     data::Profile profile = BuildProfile(user, rng, &step);
 
-    if (config_.exclude_selected) {
-      selection_->MarkUserSelected(user);
-      selected_this_episode_.insert(user);
-    }
+    // Never copy the same source user twice within an episode.
+    selection_->MarkUserSelected(user);
+    selected_this_episode_.insert(user);
     selected_order.push_back(user);
 
     const AttackEnvironment::StepResult result =
@@ -162,8 +161,7 @@ data::UserId CopyAttack::SampleSeedUser(util::Rng& rng) {
        ++attempt) {
     const data::UserId user =
         candidates_[rng.UniformUint64(candidates_.size())];
-    if (!config_.exclude_selected ||
-        selected_this_episode_.find(user) == selected_this_episode_.end()) {
+    if (selected_this_episode_.find(user) == selected_this_episode_.end()) {
       return user;
     }
   }

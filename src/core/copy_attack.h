@@ -26,7 +26,7 @@ enum class RewardShaping {
   /// The *increase* of HR@k since the previous query round. Same optimum,
   /// but each 3-injection window is credited with its marginal lift, which
   /// substantially improves credit assignment under the episode-level
-  /// baseline (ablated in bench_reward_shaping).
+  /// baseline (ablated in `copyattack recipe reward_shaping`).
   kDeltaHitRatio,
 };
 
@@ -53,9 +53,6 @@ struct CopyAttackConfig {
   bool use_masking = true;
   /// * `use_crafting = false` injects raw profiles (no clipping).
   bool use_crafting = true;
-
-  /// Never copy the same source user twice within an episode.
-  bool exclude_selected = true;
 
   /// Extension (paper future work): when the target item has no source
   /// holders, anchor selection/crafting on the most co-occurring

@@ -131,7 +131,6 @@ class AttackEnvironment {
 
   bool done() const { return done_; }
   data::ItemId target_item() const { return target_item_; }
-  std::size_t steps_taken() const { return steps_; }
   const EnvConfig& config() const { return config_; }
 
   /// The black-box oracle the attacker talks to — the outermost layer of

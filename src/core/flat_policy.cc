@@ -125,7 +125,7 @@ double FlatPolicyNetwork::RunEpisode(AttackEnvironment& env,
         dataset_->source.UserProfile(user), target_item_,
         kCraftLevels[level]);
 
-    if (config_.exclude_selected) mask[user] = false;
+    mask[user] = false;
     selected_order.push_back(user);
 
     const auto result = env.Step(std::move(profile));
@@ -220,15 +220,6 @@ bool FlatPolicyNetwork::LoadState(std::istream& in) {
   baseline.initialized = initialized != 0;
   baseline_.RestoreState(baseline);
   return true;
-}
-
-std::size_t FlatPolicyNetwork::DecisionCost() const {
-  // One decision evaluates the full MLP: state->hidden plus
-  // hidden->n_B logits (the dominant term).
-  const std::size_t state_dim =
-      item_embeddings_->cols() + config_.rnn_hidden_dim;
-  return state_dim * config_.mlp_hidden_dim +
-         config_.mlp_hidden_dim * dataset_->source.num_users();
 }
 
 }  // namespace copyattack::core

@@ -37,7 +37,6 @@ class FlatPolicyNetwork CA_CHECKPOINTED(FlatPolicyNetwork::SaveState,
     float clip_norm = 5.0f;
     double entropy_beta = 0.003;
     double baseline_momentum = 0.7;
-    bool exclude_selected = true;
     CraftingPolicy::Config crafting;
   };
 
@@ -52,10 +51,6 @@ class FlatPolicyNetwork CA_CHECKPOINTED(FlatPolicyNetwork::SaveState,
 
   /// In evaluation mode the agent acts greedily and freezes its policies.
   void SetEvalMode(bool eval_mode) override { eval_mode_ = eval_mode; }
-
-  /// Per-decision floating point work (relative units), exposed for the
-  /// policy-scaling bench.
-  std::size_t DecisionCost() const;
 
   /// Full cross-episode state (network parameters + the moving reward
   /// baseline) for campaign checkpointing.

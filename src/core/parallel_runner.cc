@@ -235,60 +235,4 @@ ParallelCampaignResult ParallelCampaignRunner::Run(
   return result;
 }
 
-void WriteShardStatsCsv(const std::vector<ShardStats>& shards,
-                        std::ostream& out) {
-  out << "shard,total_shards,items,stream_seed,episodes,saves,resumed,"
-         "wall_seconds\n";
-  for (const ShardStats& stats : shards) {
-    out << stats.shard << ',' << stats.total_shards << ','
-        << stats.num_items << ',' << stats.stream_seed << ','
-        << stats.episodes_played << ',' << stats.checkpoint_saves << ','
-        << static_cast<int>(stats.resumed_from) << ','
-        << util::FormatDouble(stats.wall_seconds, 6) << '\n';
-  }
-}
-
-bool ParseShardStatsCsv(std::istream& in, std::vector<ShardStats>* shards,
-                        std::string* error) {
-  CA_CHECK(shards != nullptr);
-  CA_CHECK(error != nullptr);
-  std::string line;
-  std::size_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    const std::string_view trimmed = util::Trim(line);
-    if (trimmed.empty() || trimmed.front() == '#') continue;
-    const std::vector<std::string> fields = util::Split(trimmed, ',');
-    if (util::Trim(fields.front()) == "shard") continue;  // header row
-    if (fields.size() != 8) {
-      *error = "shard stats csv line " + std::to_string(line_number) +
-               ": expected 8 fields, got " + std::to_string(fields.size());
-      return false;
-    }
-    ShardStats stats;
-    bool ok = util::ParseSizeT(util::Trim(fields[0]), &stats.shard);
-    ok = ok && util::ParseSizeT(util::Trim(fields[1]), &stats.total_shards);
-    ok = ok && util::ParseSizeT(util::Trim(fields[2]), &stats.num_items);
-    std::size_t seed_bits = 0;
-    ok = ok && util::ParseSizeT(util::Trim(fields[3]), &seed_bits);
-    stats.stream_seed = static_cast<std::uint64_t>(seed_bits);
-    ok = ok &&
-         util::ParseSizeT(util::Trim(fields[4]), &stats.episodes_played);
-    ok = ok &&
-         util::ParseSizeT(util::Trim(fields[5]), &stats.checkpoint_saves);
-    std::size_t source_code = 0;
-    ok = ok && util::ParseSizeT(util::Trim(fields[6]), &source_code) &&
-         source_code <= static_cast<std::size_t>(CheckpointSource::kTempOrphan);
-    stats.resumed_from = static_cast<CheckpointSource>(source_code);
-    ok = ok && util::ParseDouble(util::Trim(fields[7]), &stats.wall_seconds);
-    if (!ok) {
-      *error = "shard stats csv line " + std::to_string(line_number) +
-               ": malformed field";
-      return false;
-    }
-    shards->push_back(stats);
-  }
-  return true;
-}
-
 }  // namespace copyattack::core

@@ -4,16 +4,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <istream>
-#include <ostream>
-#include <string>
 #include <vector>
 
 #include "core/checkpoint.h"
 #include "core/runner.h"
 #include "data/cross_domain.h"
 #include "data/dataset.h"
-#include "util/annotations.h"
 
 namespace copyattack::core {
 
@@ -42,10 +38,8 @@ struct ParallelRunnerOptions {
   std::function<bool()> cancel;
 };
 
-/// Per-shard execution record. Round-trips through the shard-stats CSV
-/// (`WriteShardStatsCsv` / `ParseShardStatsCsv`) so campaign-scaling runs
-/// can archive and re-ingest per-shard records across invocations.
-struct ShardStats CA_CHECKPOINTED(WriteShardStatsCsv, ParseShardStatsCsv) {
+/// Per-shard execution record.
+struct ShardStats {
   std::size_t shard = 0;
   std::size_t total_shards = 1;
   /// Target items owned by this shard (round-robin: global indices
@@ -61,17 +55,6 @@ struct ShardStats CA_CHECKPOINTED(WriteShardStatsCsv, ParseShardStatsCsv) {
   double wall_seconds = 0.0;
 };
 
-/// Writes one CSV row per shard record (header first). Round-trips with
-/// `ParseShardStatsCsv`; the scaling perf gate archives these so a later
-/// run can compare per-shard load balance against an earlier one.
-void WriteShardStatsCsv(const std::vector<ShardStats>& shards,
-                        std::ostream& out);
-
-/// Parses the CSV written by `WriteShardStatsCsv`. On malformed input
-/// returns false with a line-numbered message in `*error`.
-bool ParseShardStatsCsv(std::istream& in, std::vector<ShardStats>* shards,
-                        std::string* error);
-
 /// Outcome of one sharded campaign run.
 struct ParallelCampaignResult {
   /// The Table-2 aggregate over all completed target items, merged in
@@ -82,8 +65,8 @@ struct ParallelCampaignResult {
   std::vector<TargetOutcomeState> outcomes;
   std::vector<std::uint8_t> completed;
   std::vector<ShardStats> shards;
-  /// Completed target items per wall-clock second of this run — the
-  /// quantity the campaign-scaling perf gate tracks.
+  /// Completed target items per wall-clock second of this run (the
+  /// `campaign.campaigns_per_sec` gauge).
   double campaigns_per_sec = 0.0;
 };
 

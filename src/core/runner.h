@@ -51,8 +51,9 @@ using StrategyFactory =
 /// Crash-safety options of a campaign. With a non-empty `dir`, every
 /// shard of the campaign runner persists a versioned, CRC-checksummed
 /// checkpoint (core/checkpoint.h) under `<dir>/shard_<s>_of_<S>` after
-/// every completed target and every `every_episodes` episodes in between; with `resume` it first loads the
-/// freshest valid checkpoint and continues bit-exactly from there.
+/// every completed target and every `every_episodes` episodes in
+/// between; with `resume` it first loads the freshest valid checkpoint
+/// and continues bit-exactly from there.
 /// Requires `env.refit_on_query == false` (a refit target model's weights
 /// are not captured). Checkpointing never changes outcomes, and works at
 /// any thread count.

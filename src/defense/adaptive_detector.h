@@ -22,8 +22,8 @@ struct AdaptiveDetectorConfig {
 /// attacker's *actual injected profiles* (labeled positives) mixed with
 /// genuine ones. This models the defender's second move — once an attack
 /// campaign is observed, its output distribution is training data — and is
-/// the detector the HR@k-vs-detectability frontier (bench_arms_race) pits
-/// each strategy against.
+/// the detector the HR@k-vs-detectability frontier (`copyattack recipe
+/// arms_race_frontier`) pits each strategy against.
 ///
 /// Training is deterministic (full-batch gradient descent from a zero
 /// initialization; no RNG), so the frontier CSV reproduces bit-for-bit.

@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "data/dataset.h"
@@ -119,14 +118,6 @@ class ResilientBlackBox final : public rec::BlackBoxInterface {
   const Stats& stats() const { return stats_; }
   std::uint64_t virtual_now_us() const { return virtual_now_us_; }
 
-  /// Hook invoked for each backoff wait in kMonotonic mode (kVirtual mode
-  /// advances the logical clock instead). Default: no-op — the in-process
-  /// oracle has no reason to really sleep. A remote deployment would plug
-  /// a real sleep in here.
-  void set_sleep_fn(std::function<void(std::uint64_t)> fn) {
-    sleep_fn_ = std::move(fn);
-  }
-
  private:
   static bool Retryable(rec::BlackBoxStatus status) {
     return status == rec::BlackBoxStatus::kTransientError ||
@@ -139,14 +130,13 @@ class ResilientBlackBox final : public rec::BlackBoxInterface {
     return static_cast<std::uint64_t>(obs::MonotonicNanos() / 1000);
   }
 
+  /// Accounts one backoff wait. kVirtual advances the logical clock;
+  /// kMonotonic does not really sleep, because the in-process oracle has
+  /// no reason to.
   void Wait(std::uint64_t micros) {
     stats_.total_backoff_us += micros;
     OBS_HIST_OBSERVE("fault.backoff_us", micros);
-    if (config_.clock == ClockMode::kVirtual) {
-      virtual_now_us_ += micros;
-    } else if (sleep_fn_) {
-      sleep_fn_(micros);
-    }
+    if (config_.clock == ClockMode::kVirtual) virtual_now_us_ += micros;
   }
 
   /// True if the breaker admits a call right now (possibly transitioning
@@ -215,7 +205,6 @@ class ResilientBlackBox final : public rec::BlackBoxInterface {
   std::uint64_t opened_at_us_ = 0;
   std::uint64_t virtual_now_us_ = 0;
   Stats stats_;
-  std::function<void(std::uint64_t)> sleep_fn_;
 };
 
 }  // namespace copyattack::fault

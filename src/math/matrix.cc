@@ -18,12 +18,6 @@ void Matrix::FillNormal(util::Rng& rng, float mean, float stddev) {
   }
 }
 
-void Matrix::FillUniform(util::Rng& rng, float lo, float hi) {
-  for (auto& v : data_) {
-    v = static_cast<float>(rng.UniformDouble(lo, hi));
-  }
-}
-
 void Matrix::Resize(std::size_t rows, std::size_t cols) {
   rows_ = rows;
   cols_ = cols;
@@ -81,42 +75,6 @@ double Matrix::SquaredNorm() const {
   double sum = 0.0;
   for (const float v : data_) sum += static_cast<double>(v) * v;
   return sum;
-}
-
-Matrix Matrix::Multiply(const Matrix& a, const Matrix& b) {
-  CA_CHECK_EQ(a.cols(), b.rows());
-  Matrix c(a.rows(), b.cols());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const float* arow = a.Row(i);
-    float* crow = c.Row(i);
-    for (std::size_t k = 0; k < a.cols(); ++k) {
-      const float aik = arow[k];
-      if (aik == 0.0f) continue;  // analyze:allow(float-eq): sparsity skip
-      const float* brow = b.Row(k);
-      for (std::size_t j = 0; j < b.cols(); ++j) {
-        crow[j] += aik * brow[j];
-      }
-    }
-  }
-  return c;
-}
-
-Matrix Matrix::MultiplyTransposedB(const Matrix& a, const Matrix& b) {
-  CA_CHECK_EQ(a.cols(), b.cols());
-  Matrix c(a.rows(), b.rows());
-  for (std::size_t i = 0; i < a.rows(); ++i) {
-    const float* arow = a.Row(i);
-    float* crow = c.Row(i);
-    for (std::size_t j = 0; j < b.rows(); ++j) {
-      const float* brow = b.Row(j);
-      float dot = 0.0f;
-      for (std::size_t k = 0; k < a.cols(); ++k) {
-        dot += arow[k] * brow[k];
-      }
-      crow[j] = dot;
-    }
-  }
-  return c;
 }
 
 }  // namespace copyattack::math

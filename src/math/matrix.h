@@ -72,9 +72,6 @@ class Matrix {
   /// Fills with N(mean, stddev) deviates.
   void FillNormal(util::Rng& rng, float mean, float stddev);
 
-  /// Fills with U[lo, hi) deviates.
-  void FillUniform(util::Rng& rng, float lo, float hi);
-
   /// Resizes to `rows` x `cols`, discarding contents, filled with zero.
   void Resize(std::size_t rows, std::size_t cols);
 
@@ -116,12 +113,6 @@ class Matrix {
 
   /// Returns the sum of squares of all elements.
   double SquaredNorm() const;
-
-  /// Returns C = A * B. A is (m x k), B is (k x n).
-  static Matrix Multiply(const Matrix& a, const Matrix& b);
-
-  /// Returns C = A * B^T. A is (m x k), B is (n x k).
-  static Matrix MultiplyTransposedB(const Matrix& a, const Matrix& b);
 
   /// Exact element-wise equality (used by serialization round-trip tests).
   bool operator==(const Matrix& other) const {

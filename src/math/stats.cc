@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/check.h"
-
 namespace copyattack::math {
 
 void RunningStats::Add(double value) {
@@ -44,38 +42,6 @@ void RunningStats::Merge(const RunningStats& other) {
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
   count_ += other.count_;
-}
-
-double Quantile(std::vector<double> values, double q) {
-  if (values.empty()) return 0.0;
-  CA_CHECK_GE(q, 0.0);
-  CA_CHECK_LE(q, 1.0);
-  std::sort(values.begin(), values.end());
-  const double position = q * static_cast<double>(values.size() - 1);
-  const std::size_t lo = static_cast<std::size_t>(position);
-  const std::size_t hi = std::min(lo + 1, values.size() - 1);
-  const double frac = position - static_cast<double>(lo);
-  return values[lo] * (1.0 - frac) + values[hi] * frac;
-}
-
-std::vector<std::size_t> Histogram(const std::vector<double>& values,
-                                   std::size_t bins) {
-  CA_CHECK_GT(bins, 0U);
-  std::vector<std::size_t> counts(bins, 0);
-  if (values.empty()) return counts;
-  const auto [min_it, max_it] =
-      std::minmax_element(values.begin(), values.end());
-  const double lo = *min_it;
-  const double width = (*max_it - lo) / static_cast<double>(bins);
-  for (const double v : values) {
-    std::size_t bin =
-        width == 0.0  // analyze:allow(float-eq): degenerate-range sentinel
-            ? 0
-            : static_cast<std::size_t>((v - lo) / width);
-    if (bin >= bins) bin = bins - 1;
-    ++counts[bin];
-  }
-  return counts;
 }
 
 }  // namespace copyattack::math

@@ -2,7 +2,6 @@
 #define COPYATTACK_MATH_STATS_H_
 
 #include <cstddef>
-#include <vector>
 
 namespace copyattack::math {
 
@@ -42,15 +41,6 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-/// `q`-th quantile (0..1) of `values` by linear interpolation between order
-/// statistics. `values` may be unsorted; it is copied. Empty input yields 0.
-double Quantile(std::vector<double> values, double q);
-
-/// Equal-width histogram over [min(values), max(values)] with `bins` bins.
-/// Returns per-bin counts; empty input yields all-zero bins.
-std::vector<std::size_t> Histogram(const std::vector<double>& values,
-                                   std::size_t bins);
 
 }  // namespace copyattack::math
 

@@ -109,7 +109,7 @@ void PartialSortSelect(const float* scores, std::size_t n, std::size_t k,
   std::copy_n(indices.begin(), k, out);
 }
 
-/// Selects the Top-min(k, n) of `scores[0, n)` into `out`, best first.
+/// Selects the Top-k (k <= n) of `scores[0, n)` into `out`, best first.
 void SelectInto(const float* scores, std::size_t n, std::size_t k,
                 std::size_t* out) CA_HOT_PATH {
   if (k >= n) {
@@ -123,18 +123,6 @@ void SelectInto(const float* scores, std::size_t n, std::size_t k,
 }
 
 }  // namespace
-
-std::vector<std::size_t> TopKIndices(const float* scores, std::size_t n,
-                                     std::size_t k) {
-  std::vector<std::size_t> result(std::min(k, n));
-  SelectInto(scores, n, k, result.data());
-  return result;
-}
-
-std::vector<std::size_t> TopKIndices(const std::vector<float>& scores,
-                                     std::size_t k) {
-  return TopKIndices(scores.data(), scores.size(), k);
-}
 
 std::vector<std::size_t> TopKIndicesBySort(const std::vector<float>& scores,
                                            std::size_t k) {
@@ -170,10 +158,6 @@ std::size_t RankOf(const std::vector<float>& scores, std::size_t index) {
     }
   }
   return rank;
-}
-
-std::vector<std::size_t> ArgSortDescending(const std::vector<float>& scores) {
-  return TopKIndices(scores, scores.size());
 }
 
 }  // namespace copyattack::math

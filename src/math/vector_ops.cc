@@ -46,10 +46,6 @@ float SquaredDistance(const float* __restrict a, const float* __restrict b,
   return sum;
 }
 
-float EuclideanDistance(const float* a, const float* b, std::size_t n) {
-  return std::sqrt(SquaredDistance(a, b, n));
-}
-
 void SoftmaxInPlace(std::vector<float>& values) {
   CA_CHECK(!values.empty());
   const float max_value = *std::max_element(values.begin(), values.end());
@@ -85,14 +81,6 @@ void MaskedSoftmaxInPlace(std::vector<float>& values,
   }
   const float inv = static_cast<float>(1.0 / sum);
   for (auto& v : values) v *= inv;
-}
-
-double LogSumExp(const std::vector<float>& values) {
-  CA_CHECK(!values.empty());
-  const float max_value = *std::max_element(values.begin(), values.end());
-  double sum = 0.0;
-  for (const float v : values) sum += std::exp(v - max_value);
-  return max_value + std::log(sum);
 }
 
 std::size_t ArgMax(const std::vector<float>& values) {

@@ -31,9 +31,6 @@ inline float Dot(const float* __restrict a, const float* __restrict b,
 /// overlap (the implementation is restrict-qualified so it vectorizes).
 void Axpy(float alpha, const float* x, float* y, std::size_t n);
 
-/// Euclidean (L2) distance between two equal-length float spans.
-float EuclideanDistance(const float* a, const float* b, std::size_t n);
-
 /// Squared Euclidean distance (avoids the sqrt in k-means inner loops).
 float SquaredDistance(const float* a, const float* b, std::size_t n);
 
@@ -45,9 +42,6 @@ void SoftmaxInPlace(std::vector<float>& values);
 /// be unmasked.
 void MaskedSoftmaxInPlace(std::vector<float>& values,
                           const std::vector<bool>& mask);
-
-/// log(sum_i exp(values[i])), numerically stable.
-double LogSumExp(const std::vector<float>& values);
 
 /// Index of the maximum element; ties break to the lowest index.
 /// `values` must be non-empty.

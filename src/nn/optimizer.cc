@@ -2,8 +2,6 @@
 
 #include <cmath>
 
-#include "util/check.h"
-
 namespace copyattack::nn {
 
 void ClipGradientsByGlobalNorm(const ParameterList& params, float clip_norm) {
@@ -25,41 +23,6 @@ void Sgd::Step(const ParameterList& params) {
   for (Parameter* p : params) {
     p->value.AddScaled(p->grad, -learning_rate_);
     p->ZeroGrad();
-  }
-}
-
-void Adam::Step(const ParameterList& params) {
-  ClipGradientsByGlobalNorm(params, clip_norm_);
-  if (slots_.empty()) {
-    slots_.resize(params.size());
-    for (std::size_t i = 0; i < params.size(); ++i) {
-      slots_[i].m.Resize(params[i]->value.rows(), params[i]->value.cols());
-      slots_[i].v.Resize(params[i]->value.rows(), params[i]->value.cols());
-    }
-  }
-  CA_CHECK_EQ(slots_.size(), params.size())
-      << "Adam must be reused with a stable parameter list";
-  ++step_count_;
-  const double bias1 = 1.0 - std::pow(beta1_, static_cast<double>(step_count_));
-  const double bias2 = 1.0 - std::pow(beta2_, static_cast<double>(step_count_));
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    Parameter& p = *params[i];
-    Slot& slot = slots_[i];
-    CA_CHECK_EQ(slot.m.size(), p.value.size());
-    float* value = p.value.data();
-    float* grad = p.grad.data();
-    float* m = slot.m.data();
-    float* v = slot.v.data();
-    const std::size_t n = p.value.size();
-    for (std::size_t j = 0; j < n; ++j) {
-      m[j] = beta1_ * m[j] + (1.0f - beta1_) * grad[j];
-      v[j] = beta2_ * v[j] + (1.0f - beta2_) * grad[j] * grad[j];
-      const double m_hat = m[j] / bias1;
-      const double v_hat = v[j] / bias2;
-      value[j] -= static_cast<float>(learning_rate_ * m_hat /
-                                     (std::sqrt(v_hat) + epsilon_));
-    }
-    p.ZeroGrad();
   }
 }
 

@@ -1,66 +1,24 @@
 #ifndef COPYATTACK_NN_OPTIMIZER_H_
 #define COPYATTACK_NN_OPTIMIZER_H_
 
-#include <cstddef>
-#include <vector>
-
-#include "math/matrix.h"
 #include "nn/parameter.h"
 
 namespace copyattack::nn {
 
-/// Abstract gradient-descent optimizer over an externally owned parameter
-/// list. `Step` consumes the accumulated gradients and zeroes them.
-class Optimizer {
- public:
-  virtual ~Optimizer() = default;
-
-  /// Applies one update using the gradients currently accumulated in
-  /// `params`, then zeroes those gradients.
-  virtual void Step(const ParameterList& params) = 0;
-};
-
-/// Plain SGD: `w -= lr * g`, with optional global-norm gradient clipping.
-class Sgd final : public Optimizer {
+/// Plain SGD over an externally owned parameter list: `w -= lr * g`, with
+/// optional global-norm gradient clipping.
+class Sgd {
  public:
   explicit Sgd(float learning_rate, float clip_norm = 0.0f)
       : learning_rate_(learning_rate), clip_norm_(clip_norm) {}
 
-  void Step(const ParameterList& params) override;
+  /// Applies one update using the gradients currently accumulated in
+  /// `params`, then zeroes those gradients.
+  void Step(const ParameterList& params);
 
  private:
   float learning_rate_;
   float clip_norm_;  // 0 disables clipping
-};
-
-/// Adam (Kingma & Ba). Slot state is keyed by parameter identity, so one
-/// Adam instance must be used with a stable parameter list — the normal
-/// pattern of one optimizer per model.
-class Adam final : public Optimizer {
- public:
-  explicit Adam(float learning_rate, float beta1 = 0.9f, float beta2 = 0.999f,
-                float epsilon = 1e-8f, float clip_norm = 0.0f)
-      : learning_rate_(learning_rate),
-        beta1_(beta1),
-        beta2_(beta2),
-        epsilon_(epsilon),
-        clip_norm_(clip_norm) {}
-
-  void Step(const ParameterList& params) override;
-
- private:
-  struct Slot {
-    math::Matrix m;
-    math::Matrix v;
-  };
-
-  float learning_rate_;
-  float beta1_;
-  float beta2_;
-  float epsilon_;
-  float clip_norm_;
-  std::size_t step_count_ = 0;
-  std::vector<Slot> slots_;
 };
 
 /// Scales all gradients so their global L2 norm does not exceed

@@ -24,8 +24,8 @@ bool WriteMetricsCsv(const MetricsSnapshot& snapshot,
                      const std::string& path);
 bool ReadMetricsCsv(const std::string& path, MetricsSnapshot* snapshot);
 
-/// JSON summary — the machine-readable campaign telemetry fed into
-/// `bench_results/*.json` trajectory files:
+/// JSON summary — the machine-readable campaign telemetry that
+/// `--telemetry_out` writes as summary.json:
 ///   {"counters": {...}, "gauges": {...},
 ///    "histograms": {"name": {"bounds": [...], "counts": [...],
 ///                            "sum": s, "count": n,

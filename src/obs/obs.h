@@ -14,7 +14,7 @@
 ///    subsystem vanishes from the hot paths entirely;
 ///  * runtime off (the default; see obs::SetEnabled): one relaxed atomic
 ///    load and a predictable branch per site — measured at well under 1%
-///    of the per-injection episode cost (bench_results/obs_overhead.csv);
+///    of the per-injection episode cost (ROADMAP.md's Perf log);
 ///  * runtime on: counters are one relaxed fetch-add on a per-thread
 ///    shard; spans add two clock reads and a push into a per-thread ring.
 ///

@@ -33,8 +33,7 @@ inline std::int64_t MonotonicNanos() {
       .count();
 }
 
-/// Monotonic-clock stopwatch for wall-clock reporting. Replaces the old
-/// `util::Stopwatch` (which remains as a compatibility alias).
+/// Monotonic-clock stopwatch for wall-clock reporting.
 class Stopwatch {
  public:
   Stopwatch() : start_ns_(MonotonicNanos()) {}
@@ -46,9 +45,6 @@ class Stopwatch {
   double ElapsedSeconds() const {
     return static_cast<double>(MonotonicNanos() - start_ns_) * 1e-9;
   }
-
-  /// Returns the elapsed time in milliseconds.
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
  private:
   std::int64_t start_ns_;

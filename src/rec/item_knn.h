@@ -23,11 +23,11 @@ struct ItemKnnConfig {
 /// similarity to the items in their profile.
 ///
 /// In this repo ItemKNN is a *third target-model family* for the
-/// channel ablation (`bench_target_models`): its similarity lists are
-/// frozen at training time, so — like frozen MF — it has no inductive
-/// injection channel, but unlike MF a retraining pass directly ingests
-/// the injected co-occurrences (the classic shilling-attack surface the
-/// pre-deep-learning literature studied).
+/// channel ablation (`copyattack recipe target_models`): its similarity
+/// lists are frozen at training time, so — like frozen MF — it has no
+/// inductive injection channel, but unlike MF a retraining pass directly
+/// ingests the injected co-occurrences (the classic shilling-attack
+/// surface the pre-deep-learning literature studied).
 ///
 /// There are no gradient epochs; `TrainEpoch` (re)builds the similarity
 /// lists from the current dataset, which is also what a platform's

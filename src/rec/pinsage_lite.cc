@@ -214,11 +214,6 @@ void PinSageLite::UpdateNeighborWeight(data::ItemId item) {
                 : 0.0f;
 }
 
-const float* PinSageLite::UserRepresentation(data::UserId user) const {
-  CA_CHECK_LT(user, user_reps_.rows());
-  return user_reps_.Row(user);
-}
-
 void PinSageLite::ItemRepresentation(data::ItemId item,
                                      std::vector<float>* out) const {
   CA_CHECK_LT(item, items_.rows());

@@ -85,10 +85,6 @@ class PinSageLite final : public Recommender {
   /// Trained item embeddings q (exposed for diagnostics and tests).
   const math::Matrix& item_embeddings() const { return items_; }
 
-  /// Serving-time user representation p_u (valid after BeginServing /
-  /// ObserveNewUser).
-  const float* UserRepresentation(data::UserId user) const;
-
   /// Serving-time item representation z_i, materialized into `out`
   /// (size = embedding_dim).
   void ItemRepresentation(data::ItemId item, std::vector<float>* out) const;

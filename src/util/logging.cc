@@ -39,10 +39,6 @@ void SetLogLevel(LogLevel level) {
   g_min_level.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_min_level.load(std::memory_order_relaxed));
-}
-
 void LogMessage(LogLevel level, const std::string& message) {
   if (static_cast<int>(level) <
       g_min_level.load(std::memory_order_relaxed)) {

@@ -21,9 +21,6 @@ const char* LogLevelName(LogLevel level);
 /// Sets the global minimum severity that will be emitted. Thread-safe.
 void SetLogLevel(LogLevel level);
 
-/// Returns the current global minimum severity.
-LogLevel GetLogLevel();
-
 /// Emits one formatted log line to stderr if `level` passes the filter.
 /// Lines look like: `[INFO  12.345s] message`.
 void LogMessage(LogLevel level, const std::string& message);

@@ -56,15 +56,9 @@ void ThreadPool::Submit(std::function<void()> task) {
     ++in_flight_;
     depth = tasks_.size();
   }
-  tasks_submitted_.fetch_add(1, std::memory_order_relaxed);
   OBS_COUNTER_INC("pool.tasks_submitted");
   OBS_GAUGE_SET("pool.queue_depth", depth);
   task_available_.notify_one();
-}
-
-std::size_t ThreadPool::queue_depth() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return tasks_.size();
 }
 
 void ThreadPool::Wait() {
@@ -87,7 +81,6 @@ void ThreadPool::WorkerLoop() {
       tasks_.pop();
     }
     task();
-    tasks_executed_.fetch_add(1, std::memory_order_relaxed);
     OBS_COUNTER_INC("pool.tasks_executed");
     {
       std::lock_guard<std::mutex> lock(mutex_);

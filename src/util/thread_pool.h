@@ -1,10 +1,8 @@
 #ifndef COPYATTACK_UTIL_THREAD_POOL_H_
 #define COPYATTACK_UTIL_THREAD_POOL_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <queue>
@@ -38,22 +36,6 @@ class ThreadPool {
   /// Number of worker threads.
   std::size_t size() const { return workers_.size(); }
 
-  /// Tasks submitted but not yet picked up by a worker. Instantaneous and
-  /// advisory (another thread may drain the queue between the read and any
-  /// decision based on it); feeds the `pool.queue_depth` gauge and the
-  /// concurrency stress suite's introspection assertions.
-  std::size_t queue_depth() const;
-
-  /// Tasks that have finished executing since construction.
-  std::uint64_t tasks_executed() const {
-    return tasks_executed_.load(std::memory_order_relaxed);
-  }
-
-  /// Tasks accepted by `Submit` since construction.
-  std::uint64_t tasks_submitted() const {
-    return tasks_submitted_.load(std::memory_order_relaxed);
-  }
-
   /// The process-wide shared pool (one worker per hardware thread),
   /// created lazily on first use and reused by every `ParallelFor` — so
   /// repeated fan-outs don't pay thread creation/join per call.
@@ -80,11 +62,9 @@ class ThreadPool {
 
   std::vector<std::thread> workers_;
   std::queue<std::function<void()>> tasks_ CA_GUARDED_BY(mutex_);
-  std::atomic<std::uint64_t> tasks_executed_ CA_ATOMIC_ONLY{0};
-  std::atomic<std::uint64_t> tasks_submitted_ CA_ATOMIC_ONLY{0};
   /// Leaf lock: worker and submitter paths never take another lock while
   /// holding it (zero-arg annotation = tracked in the lock-order graph).
-  mutable std::mutex mutex_ CA_ACQUIRED_BEFORE();
+  std::mutex mutex_ CA_ACQUIRED_BEFORE();
   std::condition_variable task_available_;
   std::condition_variable all_done_;
   std::size_t in_flight_ CA_GUARDED_BY(mutex_) = 0;

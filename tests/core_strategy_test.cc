@@ -256,17 +256,6 @@ TEST(FlatPolicyTest, EpisodeRunsAndRespectsHolders) {
   }
 }
 
-TEST(FlatPolicyTest, DecisionCostScalesWithUsers) {
-  const auto& tw = SharedTinyWorld();
-  FlatPolicyNetwork attack(&tw.world.dataset,
-                           &tw.artifacts.mf.user_embeddings(),
-                           &tw.artifacts.mf.item_embeddings(),
-                           FlatPolicyNetwork::Config{}, 1);
-  // Cost must be at least hidden * n_users.
-  EXPECT_GE(attack.DecisionCost(),
-            16U * tw.world.dataset.source.num_users());
-}
-
 }  // namespace
 }  // namespace copyattack::core
 

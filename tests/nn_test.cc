@@ -245,18 +245,6 @@ TEST(OptimizerTest, GlobalNormClipping) {
   EXPECT_FLOAT_EQ(q.grad(0, 0), 0.5f);
 }
 
-TEST(OptimizerTest, AdamConvergesOnQuadratic) {
-  // Minimize f(w) = (w - 3)^2 with Adam; df/dw = 2(w - 3).
-  Parameter p("w", 1, 1);
-  p.value(0, 0) = -5.0f;
-  Adam adam(0.1f);
-  for (int step = 0; step < 500; ++step) {
-    p.grad(0, 0) = 2.0f * (p.value(0, 0) - 3.0f);
-    adam.Step({&p});
-  }
-  EXPECT_NEAR(p.value(0, 0), 3.0f, 0.05f);
-}
-
 TEST(OptimizerTest, SgdConvergesOnQuadratic) {
   Parameter p("w", 1, 1);
   p.value(0, 0) = 10.0f;

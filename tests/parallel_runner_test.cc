@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <filesystem>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -324,43 +323,6 @@ TEST(ParallelRunner, AttackZooKillAndResumeMatchesUninterruptedRun) {
     EXPECT_FALSE(resumed.aggregate.aborted);
     ExpectResultsEqual(uninterrupted, resumed);
   }
-}
-
-TEST(ParallelRunner, ShardStatsCsvRoundTrips) {
-  std::vector<ShardStats> shards(2);
-  shards[0].shard = 0;
-  shards[0].total_shards = 2;
-  shards[0].num_items = 3;
-  shards[0].stream_seed = 0xDEADBEEFCAFEF00DULL;
-  shards[0].episodes_played = 12;
-  shards[0].checkpoint_saves = 4;
-  shards[0].resumed_from = CheckpointSource::kFallback;
-  shards[0].wall_seconds = 1.25;
-  shards[1].shard = 1;
-  shards[1].total_shards = 2;
-  shards[1].stream_seed = 42;
-
-  std::ostringstream out;
-  WriteShardStatsCsv(shards, out);
-  std::istringstream in(out.str());
-  std::vector<ShardStats> parsed;
-  std::string error;
-  ASSERT_TRUE(ParseShardStatsCsv(in, &parsed, &error)) << error;
-  ASSERT_EQ(parsed.size(), 2u);
-  EXPECT_EQ(parsed[0].shard, 0u);
-  EXPECT_EQ(parsed[0].total_shards, 2u);
-  EXPECT_EQ(parsed[0].num_items, 3u);
-  EXPECT_EQ(parsed[0].stream_seed, 0xDEADBEEFCAFEF00DULL);
-  EXPECT_EQ(parsed[0].episodes_played, 12u);
-  EXPECT_EQ(parsed[0].checkpoint_saves, 4u);
-  EXPECT_EQ(parsed[0].resumed_from, CheckpointSource::kFallback);
-  EXPECT_DOUBLE_EQ(parsed[0].wall_seconds, 1.25);
-  EXPECT_EQ(parsed[1].stream_seed, 42u);
-
-  std::istringstream bad("shard,x\n1,2\n");
-  std::vector<ShardStats> rejected;
-  EXPECT_FALSE(ParseShardStatsCsv(bad, &rejected, &error));
-  EXPECT_NE(error.find("line 2"), std::string::npos);
 }
 
 TEST(ParallelRunner, RejectsZeroJobs) {

@@ -11,10 +11,10 @@
 
 #include "test_seed.h"
 
+#include "obs/time.h"
 #include "util/checksum.h"
 #include "util/csv.h"
 #include "util/rng.h"
-#include "util/stopwatch.h"
 #include "util/string_utils.h"
 #include "util/thread_pool.h"
 
@@ -370,7 +370,7 @@ TEST(CsvDeathTest, WrongArityRowAborts) {
 }
 
 TEST(StopwatchTest, ElapsedIsMonotonic) {
-  Stopwatch watch;
+  obs::Stopwatch watch;
   const double a = watch.ElapsedSeconds();
   const double b = watch.ElapsedSeconds();
   EXPECT_GE(b, a);
