@@ -3,15 +3,17 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 
 #include <gtest/gtest.h>
 
 #include "core/baselines.h"
 #include "core/copy_attack.h"
-#include "core/flat_policy.h"
 #include "rec/pinsage_lite.h"
+#include "serve/attack_server.h"
 #include "test_helpers.h"
 #include "test_seed.h"
+#include "util/check.h"
 
 namespace copyattack::core {
 namespace {
@@ -231,20 +233,26 @@ TEST(CopyAttackTest, LearningImprovesPretendReward) {
   EXPECT_GE(last, first - 0.25) << "learning should not collapse rewards";
 }
 
+/// The "PolicyNetwork" baseline as every campaign path builds it.
+StrategyFactory PolicyNetworkFactory() {
+  const auto& tw = SharedTinyWorld();
+  serve::StrategySpec spec = serve::MakeStrategyFactory(
+      tw.world.dataset, tw.artifacts, "PolicyNetwork");
+  CA_CHECK(spec.factory) << spec.error;
+  return std::move(spec.factory);
+}
+
 TEST(FlatPolicyTest, EpisodeRunsAndRespectsHolders) {
   const auto& tw = SharedTinyWorld();
   rec::PinSageLite model = tw.model;
   AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
                         SmallEnvConfig());
-  FlatPolicyNetwork attack(&tw.world.dataset,
-                           &tw.artifacts.mf.user_embeddings(),
-                           &tw.artifacts.mf.item_embeddings(),
-                           FlatPolicyNetwork::Config{}, 1);
-  EXPECT_EQ(attack.name(), "PolicyNetwork");
-  attack.BeginTargetItem(tw.cold_target);
+  const std::unique_ptr<AttackStrategy> attack = PolicyNetworkFactory()(1);
+  EXPECT_EQ(attack->name(), "PolicyNetwork");
+  attack->BeginTargetItem(tw.cold_target);
   env.Reset(tw.cold_target);
   util::Rng rng(testhelpers::TestSeed(3));
-  const double reward = attack.RunEpisode(env, rng);
+  const double reward = attack->RunEpisode(env, rng);
   EXPECT_GE(reward, 0.0);
 
   const data::Dataset& polluted = env.black_box().polluted();
@@ -321,15 +329,12 @@ TEST(FlatPolicyTest, EvalModeRuns) {
   rec::PinSageLite model = tw.model;
   AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
                         SmallEnvConfig());
-  FlatPolicyNetwork attack(&tw.world.dataset,
-                           &tw.artifacts.mf.user_embeddings(),
-                           &tw.artifacts.mf.item_embeddings(),
-                           FlatPolicyNetwork::Config{}, 1);
-  attack.BeginTargetItem(tw.cold_target);
-  attack.SetEvalMode(true);
+  const std::unique_ptr<AttackStrategy> attack = PolicyNetworkFactory()(1);
+  attack->BeginTargetItem(tw.cold_target);
+  attack->SetEvalMode(true);
   env.Reset(tw.cold_target);
   util::Rng rng(testhelpers::TestSeed(3));
-  const double reward = attack.RunEpisode(env, rng);
+  const double reward = attack->RunEpisode(env, rng);
   EXPECT_GE(reward, 0.0);
   EXPECT_GT(env.black_box().injected_profiles(), 0U);
 }

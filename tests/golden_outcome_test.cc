@@ -21,6 +21,7 @@
 #include "core/copy_attack.h"
 #include "core/runner.h"
 #include "fault/fault_injector.h"
+#include "serve/attack_server.h"
 #include "test_helpers.h"
 #include "test_seed.h"
 #include "util/rng.h"
@@ -151,6 +152,24 @@ TEST_F(GoldenOutcomeTest, CopyAttackWithGruEncoder) {
                         0x1.17581466cad69p-6, 0x1.69706eab415dcp-4,
                         0x1.2abed61dea094p-5, 0x1.0cd0de2b978d5p-7,
                         0x1.7777777777778p-2, 0x1.2p+3, 0x1.2p+3});
+}
+
+// The flat baseline of paper §5.1.4, built the way every campaign path
+// builds it: one policy over all source users, with CopyAttack's default
+// hyper-parameters, masking and crafting.
+TEST_F(GoldenOutcomeTest, PolicyNetwork) {
+  const auto& tw = SharedTinyWorld();
+  const serve::StrategySpec spec = serve::MakeStrategyFactory(
+      tw.world.dataset, tw.artifacts, "PolicyNetwork");
+  ASSERT_TRUE(spec.factory) << spec.error;
+  const CampaignResult result =
+      RunCampaign(tw.world.dataset, tw.split.train, tw.ModelFactory(),
+                  spec.factory, GoldenTargets(), GoldenCampaign());
+  EXPECT_EQ(result.method, "PolicyNetwork");
+  ExpectGolden(result, {0x1.48f6e22178f95p-2, 0x1.02f149902f149p-3,
+                        0x1.3205e293205e3p-4, 0x1.9e8fc1ccc6afdp-4,
+                        0x1.b1fdb7c48ec4bp-5, 0x1.2c29e8d044579p-5,
+                        0x1.9999999999999p-2, 0x1.2p+3, 0x1.2p+3});
 }
 
 TEST_F(GoldenOutcomeTest, TargetAttackUnderAggressiveFaults) {
