@@ -19,7 +19,6 @@
 #include "core/copy_attack.h"
 #include "core/crafting.h"
 #include "core/environment.h"
-#include "core/flat_policy.h"
 #include "core/selection_policy.h"
 #include "data/split.h"
 #include "data/stats.h"
@@ -362,29 +361,9 @@ void Fig6BudgetLarge(RecipeRun& run) { BudgetSweep(run, PaperPairs()[1]); }
 // ---------------------------------------------------------------------
 // Policy scaling: per-decision wall time of the flat policy vs the tree.
 
-/// A synthetic source domain of `num_users` where every user holds item 0,
-/// so masking keeps the whole pool and both policies decide at full size.
-data::CrossDomainDataset ScalingSource(std::size_t num_users,
-                                       std::size_t num_items,
-                                       util::Rng& rng) {
-  data::CrossDomainDataset dataset("scaling", num_items);
-  for (std::size_t i = 0; i < num_items; ++i) dataset.overlap[i] = true;
-  for (std::size_t u = 0; u < num_users; ++u) {
-    data::Profile profile = {0};
-    while (profile.size() < 6) {
-      const data::ItemId item =
-          static_cast<data::ItemId>(1 + rng.UniformUint64(num_items - 1));
-      bool dup = false;
-      for (const data::ItemId existing : profile) {
-        dup = dup || existing == item;
-      }
-      if (!dup) profile.push_back(item);
-    }
-    dataset.source.AddUser(std::move(profile));
-  }
-  return dataset;
-}
-
+/// One decision of a selection policy over `tree` with every leaf
+/// selectable, so the walk decides at full width. A depth-1 tree is the
+/// flat PolicyNetwork baseline: one softmax over every user.
 double TreeDecisionMicros(const cluster::HierarchicalTree& tree,
                           const math::Matrix& users,
                           const math::Matrix& items, std::size_t rounds) {
@@ -410,45 +389,20 @@ double TreeDecisionMicros(const cluster::HierarchicalTree& tree,
   return watch.ElapsedSeconds() / static_cast<double>(rounds) * 1e6;
 }
 
-/// The flat policy's decision is a masked softmax over every source user;
-/// its dominant cost, one MLP forward over the full action space, is timed
-/// directly.
-double FlatDecisionMicros(const data::CrossDomainDataset& dataset,
-                          const math::Matrix& users,
-                          const math::Matrix& items, std::size_t rounds) {
-  core::FlatPolicyNetwork policy(&dataset, &users, &items,
-                                 core::FlatPolicyNetwork::Config{}, 5);
-  policy.BeginTargetItem(0);
-  util::Rng init_rng(11);
-  nn::Mlp mlp("probe", {items.cols() + 8, 16, dataset.source.num_users()},
-              init_rng);
-  std::vector<float> state(items.cols() + 8, 0.1f);
-  obs::Stopwatch watch;
-  float sink = 0.0f;
-  for (std::size_t i = 0; i < rounds; ++i) {
-    nn::MlpContext ctx;
-    const auto logits = mlp.Forward(state, &ctx);
-    sink += logits[0];
-  }
-  volatile float dce_sink = sink;  // defeat dead-code elimination
-  (void)dce_sink;
-  return watch.ElapsedSeconds() / static_cast<double>(rounds) * 1e6;
-}
-
 void PolicyScaling(RecipeRun& run) {
   const std::size_t num_items = 50;
   util::Rng data_rng(3);
   math::Matrix items(num_items, 8);
   items.FillNormal(data_rng, 0.0f, 0.5f);
   for (const std::size_t n : {1000UL, 4000UL, 16000UL, 64000UL}) {
-    const auto dataset = ScalingSource(n, num_items, data_rng);
     math::Matrix users(n, 8);
     users.FillNormal(data_rng, 0.0f, 0.5f);
     util::Rng tree_rng(13);
     const auto tree =
         cluster::HierarchicalTree::BuildWithDepth(users, 3, tree_rng);
     const double tree_us = TreeDecisionMicros(tree, users, items, 200);
-    const double flat_us = FlatDecisionMicros(dataset, users, items, 200);
+    const double flat_us =
+        TreeDecisionMicros(*core::BuildFlatTree(users), users, items, 200);
     run.Row({std::to_string(n), F4(tree_us), F4(flat_us),
              F4(flat_us / tree_us)});
   }

@@ -73,9 +73,11 @@ struct CampaignCheckpoint CA_CHECKPOINTED(SerializePayload,
 /// The trailer-less fixed header lets the loader detect truncation before
 /// reading the payload; the CRC detects torn or bit-rotten payloads.
 /// Version 2 made CopyAttack's strategy blob sparse (only the tree nodes
-/// built so far); version-1 files are rejected as unsupported.
+/// built so far); version 3 gave PolicyNetwork that same blob, as
+/// CopyAttack over a one-level tree. Older files are rejected as
+/// unsupported.
 inline constexpr std::uint32_t kCheckpointMagic = 0xCA9C4A17U;
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /// Paths inside a checkpoint directory: the current checkpoint, the
 /// previous good one (rotation happens on every successful save), and

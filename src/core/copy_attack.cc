@@ -12,6 +12,13 @@
 
 namespace copyattack::core {
 
+std::shared_ptr<const cluster::HierarchicalTree> BuildFlatTree(
+    const math::Matrix& user_embeddings) {
+  util::Rng unused(0);  // a depth-1 build makes no k-means draws
+  return std::make_shared<const cluster::HierarchicalTree>(
+      cluster::HierarchicalTree::BuildWithDepth(user_embeddings, 1, unused));
+}
+
 CopyAttack::CopyAttack(const data::CrossDomainDataset* dataset,
                        const cluster::HierarchicalTree* tree,
                        const math::Matrix* user_embeddings,
@@ -35,6 +42,7 @@ CopyAttack::CopyAttack(const data::CrossDomainDataset* dataset,
 std::string CopyAttack::name() const {
   if (!config_.use_masking) return "CopyAttack-Masking";
   if (!config_.use_crafting) return "CopyAttack-Length";
+  if (tree_->depth() == 1) return "PolicyNetwork";
   return "CopyAttack";
 }
 

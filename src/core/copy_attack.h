@@ -64,6 +64,13 @@ struct CopyAttackConfig {
   CraftingPolicy::Config crafting;
 };
 
+/// The tree of the "PolicyNetwork" baseline (paper §5.1.4): a root with
+/// one leaf per source user, in id order, so a CopyAttack over it is one
+/// policy over every user with the same masking and crafting. The build
+/// runs no k-means.
+std::shared_ptr<const cluster::HierarchicalTree> BuildFlatTree(
+    const math::Matrix& user_embeddings);
+
 /// The full CopyAttack agent (paper §4): hierarchical-structure policy
 /// gradient user selection with masking, profile crafting, injection with
 /// query feedback, and episode-end REINFORCE updates of both policies.
@@ -72,7 +79,8 @@ class CopyAttack CA_CHECKPOINTED(CopyAttack::SaveState, CopyAttack::LoadState)
  public:
   /// `dataset`, `tree`, and the pre-trained source-domain MF embeddings
   /// are borrowed and must outlive the agent. The tree must be built over
-  /// exactly `user_embeddings->rows()` source users.
+  /// exactly `user_embeddings->rows()` source users. Over a depth-1 tree
+  /// the agent is the "PolicyNetwork" baseline (see `BuildFlatTree`).
   CopyAttack(const data::CrossDomainDataset* dataset,
              const cluster::HierarchicalTree* tree,
              const math::Matrix* user_embeddings,

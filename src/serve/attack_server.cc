@@ -14,7 +14,6 @@
 #include "attack/surrogate_transfer.h"
 #include "core/baselines.h"
 #include "core/copy_attack.h"
-#include "core/flat_policy.h"
 #include "data/target_items.h"
 #include "fault/crash_point.h"
 #include "obs/obs.h"
@@ -156,11 +155,12 @@ StrategySpec MakeStrategyFactory(const data::CrossDomainDataset& dataset,
       return std::make_unique<core::TargetAttack>(dataset, keep);
     };
   } else if (method == "PolicyNetwork") {
-    spec.factory = [&dataset, &artifacts](std::uint64_t seed) {
-      return std::make_unique<core::FlatPolicyNetwork>(
-          &dataset, &artifacts.mf.user_embeddings(),
-          &artifacts.mf.item_embeddings(),
-          core::FlatPolicyNetwork::Config{}, seed);
+    // The flat baseline of paper §5.1.4: CopyAttack over a one-level tree.
+    auto tree = core::BuildFlatTree(artifacts.mf.user_embeddings());
+    spec.factory = [&dataset, &artifacts, tree](std::uint64_t seed) {
+      return std::make_unique<core::CopyAttack>(
+          &dataset, tree.get(), &artifacts.mf.user_embeddings(),
+          &artifacts.mf.item_embeddings(), core::CopyAttackConfig{}, seed);
     };
   } else if (method == "CopyAttack" || method == "CopyAttack-Masking" ||
              method == "CopyAttack-Length") {

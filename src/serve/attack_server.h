@@ -40,9 +40,11 @@ const std::vector<std::string>& RegisteredMethods();
 /// `attack` CLI command and the attack server. `dataset` and `artifacts`
 /// are captured by reference and must outlive the returned factory. The
 /// surrogate-based methods train the attacker's local model here, once,
-/// from a fixed seed; every per-target strategy shares it read-only. On an
-/// unknown name the returned spec has a null factory and `error` lists the
-/// registered methods.
+/// from a fixed seed; every per-target strategy shares it read-only.
+/// "PolicyNetwork" builds its one-level tree here, once; its strategies
+/// borrow it from the factory, so keep the factory alive while they run.
+/// On an unknown name the returned spec has a null factory and `error`
+/// lists the registered methods.
 StrategySpec MakeStrategyFactory(const data::CrossDomainDataset& dataset,
                                  const core::SourceArtifacts& artifacts,
                                  const std::string& method);

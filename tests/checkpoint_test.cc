@@ -171,25 +171,29 @@ TEST(CheckpointTest, TruncatedPrimaryIsDetected) {
 }
 
 TEST(CheckpointTest, VersionOneFileIsRejectedAsUnsupported) {
-  const std::string dir = FreshDir("ckpt_version_one");
-  ASSERT_TRUE(SaveCampaignCheckpoint(TestCheckpoint(), dir));
-  // Version 1 strategy blobs held every tree node's MLP; rewrite the
-  // header's version field (offset 4) to 1. The CRC covers only the
+  // Version 1 strategy blobs held every tree node's MLP; version 2
+  // PolicyNetwork blobs held a flat MLP in a layout of its own. Rewrite the
+  // header's version field (offset 4) to each. The CRC covers only the
   // payload, so the version check alone must reject the file.
-  {
-    std::fstream file(CheckpointPath(dir),
-                      std::ios::binary | std::ios::in | std::ios::out);
-    ASSERT_TRUE(file);
-    const std::uint32_t version = 1;
-    file.seekp(4);
-    file.write(reinterpret_cast<const char*>(&version), sizeof(version));
+  for (const std::uint32_t version : {1U, 2U}) {
+    SCOPED_TRACE(version);
+    const std::string dir = FreshDir("ckpt_old_version");
+    ASSERT_TRUE(SaveCampaignCheckpoint(TestCheckpoint(), dir));
+    {
+      std::fstream file(CheckpointPath(dir),
+                        std::ios::binary | std::ios::in | std::ios::out);
+      ASSERT_TRUE(file);
+      file.seekp(4);
+      file.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    }
+    CampaignCheckpoint loaded;
+    data::IoError error;
+    EXPECT_EQ(
+        LoadCampaignCheckpoint(dir, TestFingerprint(), &loaded, &error),
+        CheckpointSource::kNone);
+    EXPECT_NE(error.message.find("unsupported version"), std::string::npos)
+        << error.message;
   }
-  CampaignCheckpoint loaded;
-  data::IoError error;
-  EXPECT_EQ(LoadCampaignCheckpoint(dir, TestFingerprint(), &loaded, &error),
-            CheckpointSource::kNone);
-  EXPECT_NE(error.message.find("unsupported version"), std::string::npos)
-      << error.message;
 }
 
 // ---------------------------------------------------------------------------

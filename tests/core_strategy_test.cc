@@ -233,7 +233,9 @@ TEST(CopyAttackTest, LearningImprovesPretendReward) {
   EXPECT_GE(last, first - 0.25) << "learning should not collapse rewards";
 }
 
-/// The "PolicyNetwork" baseline as every campaign path builds it.
+/// The "PolicyNetwork" baseline as every campaign path builds it. Its
+/// strategies borrow the factory's one-level tree, so callers keep the
+/// factory alive while a strategy runs.
 StrategyFactory PolicyNetworkFactory() {
   const auto& tw = SharedTinyWorld();
   serve::StrategySpec spec = serve::MakeStrategyFactory(
@@ -247,7 +249,8 @@ TEST(FlatPolicyTest, EpisodeRunsAndRespectsHolders) {
   rec::PinSageLite model = tw.model;
   AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
                         SmallEnvConfig());
-  const std::unique_ptr<AttackStrategy> attack = PolicyNetworkFactory()(1);
+  const StrategyFactory factory = PolicyNetworkFactory();
+  const std::unique_ptr<AttackStrategy> attack = factory(1);
   EXPECT_EQ(attack->name(), "PolicyNetwork");
   attack->BeginTargetItem(tw.cold_target);
   env.Reset(tw.cold_target);
@@ -329,7 +332,8 @@ TEST(FlatPolicyTest, EvalModeRuns) {
   rec::PinSageLite model = tw.model;
   AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
                         SmallEnvConfig());
-  const std::unique_ptr<AttackStrategy> attack = PolicyNetworkFactory()(1);
+  const StrategyFactory factory = PolicyNetworkFactory();
+  const std::unique_ptr<AttackStrategy> attack = factory(1);
   attack->BeginTargetItem(tw.cold_target);
   attack->SetEvalMode(true);
   env.Reset(tw.cold_target);
