@@ -108,9 +108,12 @@ void PinSageLite::ComputeUserRepresentation(const data::Dataset& current,
                                             float* out) const {
   const std::size_t dim = config_.embedding_dim;
   ComputeRawUserAggregate(current, user, out);
-  // Mean-centering removes the shared head-item component so only the
-  // user's distinctive taste direction remains.
-  if (config_.center_user_reps && mean_user_aggregate_.size() == dim) {
+  // Mean-centering (classical neighborhood CF) removes the shared
+  // "everybody likes the head" component, so only distinctive
+  // co-preferences move rankings. It is also why profile crafting matters
+  // to the attack: a long generic profile centers away to noise, a focused
+  // session keeps its direction.
+  if (mean_user_aggregate_.size() == dim) {
     for (std::size_t d = 0; d < dim; ++d) {
       out[d] -= mean_user_aggregate_[d];
     }
@@ -133,7 +136,7 @@ void PinSageLite::BeginServing(const data::Dataset& current) {
   // injected users observed later are centered against the same mean.
   if (!mean_frozen_) {
     mean_user_aggregate_.assign(dim, 0.0f);
-    if (config_.center_user_reps && current.num_users() > 0) {
+    if (current.num_users() > 0) {
       std::vector<float> aggregate(dim);
       for (data::UserId u = 0; u < current.num_users(); ++u) {
         ComputeRawUserAggregate(current, u, aggregate.data());

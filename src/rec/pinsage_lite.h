@@ -31,13 +31,6 @@ struct PinSageConfig {
   /// the preference (direction) component decisive near the Top-k
   /// boundary.
   float neighbor_norm_exponent = 0.5f;
-  /// Subtract the global mean user aggregate before normalizing user
-  /// representations (classical mean-centering from neighborhood CF).
-  /// Centering removes the non-discriminative "everybody likes the head"
-  /// component, so only distinctive co-preferences move rankings — which
-  /// is also why profile *crafting* matters for the attack: a long generic
-  /// profile centers away to noise, a focused session keeps its direction.
-  bool center_user_reps = true;
   /// Weight of the item-popularity intercept added to every score:
   /// `popularity_bias * log(1 + train_count_i)`. Recommenders learn such an
   /// item intercept during training; it is a *frozen* model parameter, so

@@ -581,19 +581,6 @@ TEST_F(RecFixture, PinSageMeanRecomputedAfterTrainEpoch) {
   EXPECT_NE(early, later);
 }
 
-TEST_F(RecFixture, PinSageCenteringCanBeDisabled) {
-  PinSageConfig config;
-  config.center_user_reps = false;
-  PinSageLite model(config);
-  util::Rng rng(testhelpers::TestSeed(3));
-  model.Fit(split_.train, 8, rng);
-  // Sanity: scores finite, model still ranks above random.
-  util::Rng eval_rng(testhelpers::TestSeed(5));
-  const auto metrics = EvaluateHeldOut(model, world_.dataset.target,
-                                       split_.test, {10}, 50, eval_rng);
-  EXPECT_GT(metrics.at(10).hr, 0.25);
-}
-
 }  // namespace
 }  // namespace copyattack::rec
 
