@@ -54,6 +54,8 @@ UserId Dataset::AddUser(Profile profile) {
 
 void Dataset::AppendInteraction(UserId user, ItemId item) {
   ScopedMutation mutation(mutation_sentinel_);
+  CA_CHECK(!checkpointed_)
+      << "AppendInteraction after a Checkpoint: rollback cannot undo it";
   CA_CHECK_LT(user, profiles_.size());
   CA_CHECK_LT(item, num_items_);
   CA_CHECK(!HasInteraction(user, item))
@@ -63,16 +65,14 @@ void Dataset::AppendInteraction(UserId user, ItemId item) {
   sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), item), item);
   item_profiles_[item].push_back(user);
   ++num_interactions_;
-  if (journaling_) append_journal_.emplace_back(user, item);
 }
 
 DatasetCheckpoint Dataset::Checkpoint() {
   ScopedMutation mutation(mutation_sentinel_);
-  journaling_ = true;
+  checkpointed_ = true;
   DatasetCheckpoint checkpoint;
   checkpoint.num_users = profiles_.size();
   checkpoint.num_interactions = num_interactions_;
-  checkpoint.journal_size = append_journal_.size();
   checkpoint.item_profile_sizes.reserve(num_items_);
   for (const auto& item_profile : item_profiles_) {
     checkpoint.item_profile_sizes.push_back(
@@ -83,9 +83,8 @@ DatasetCheckpoint Dataset::Checkpoint() {
 
 void Dataset::RollbackTo(const DatasetCheckpoint& checkpoint) {
   ScopedMutation mutation(mutation_sentinel_);
-  CA_CHECK(journaling_) << "RollbackTo without a prior Checkpoint";
+  CA_CHECK(checkpointed_) << "RollbackTo without a prior Checkpoint";
   CA_CHECK_LE(checkpoint.num_users, profiles_.size());
-  CA_CHECK_LE(checkpoint.journal_size, append_journal_.size());
   CA_CHECK_EQ(checkpoint.item_profile_sizes.size(), num_items_);
 
   // Truncates `item`'s inverted list back to its checkpointed length.
@@ -96,21 +95,6 @@ void Dataset::RollbackTo(const DatasetCheckpoint& checkpoint) {
     const std::size_t base = checkpoint.item_profile_sizes[item];
     if (item_profile.size() > base) item_profile.resize(base);
   };
-
-  // Undo interactions appended to users that survive the rollback, newest
-  // first (each user's appends are popped in reverse insertion order).
-  for (std::size_t j = append_journal_.size(); j > checkpoint.journal_size;
-       --j) {
-    const auto [user, item] = append_journal_[j - 1];
-    truncate_item(item);
-    if (user >= checkpoint.num_users) continue;  // removed wholesale below
-    CA_CHECK(!profiles_[user].empty());
-    CA_CHECK_EQ(profiles_[user].back(), item);
-    profiles_[user].pop_back();
-    auto& sorted = sorted_items_[user];
-    sorted.erase(std::lower_bound(sorted.begin(), sorted.end(), item));
-  }
-  append_journal_.resize(checkpoint.journal_size);
 
   // Drop appended users and their inverted-list entries.
   for (std::size_t u = checkpoint.num_users; u < profiles_.size(); ++u) {

@@ -39,9 +39,6 @@ struct MutationSentinel {
 struct DatasetCheckpoint {
   std::size_t num_users = 0;
   std::size_t num_interactions = 0;
-  /// Position in the dataset's append journal (interactions appended to
-  /// users that already existed) at checkpoint time.
-  std::size_t journal_size = 0;
   /// `ItemProfile(i).size()` for every item at checkpoint time; rollback
   /// truncates only the item profiles actually touched afterwards.
   std::vector<std::uint32_t> item_profile_sizes;
@@ -63,7 +60,9 @@ class Dataset {
   /// rating-5 data the paper uses).
   UserId AddUser(Profile profile);
 
-  /// Appends one interaction to an existing user's profile.
+  /// Appends one interaction to an existing user's profile. Only for
+  /// building a dataset: fatal once a `Checkpoint` was taken, since
+  /// rollback removes appended users but cannot undo these appends.
   void AppendInteraction(UserId user, ItemId item);
 
   std::size_t num_users() const { return profiles_.size(); }
@@ -94,20 +93,18 @@ class Dataset {
   double MeanProfileLength() const;
 
   /// Records the current extent of the dataset so a later `RollbackTo`
-  /// can truncate everything appended afterwards. The first call enables
-  /// append journaling (needed to undo `AppendInteraction` on users that
-  /// predate the checkpoint). Cost: O(num_items) to snapshot the item
+  /// can truncate every user added afterwards, and ends
+  /// `AppendInteraction`. Cost: O(num_items) to snapshot the item
   /// profile sizes — taken once per attack target, amortized over the
   /// episode loop.
   DatasetCheckpoint Checkpoint();
 
   /// Reverts the dataset to the state captured by `checkpoint`: users
-  /// appended since are removed, interactions appended to surviving users
-  /// are popped, and the touched item profiles are truncated. Cost is
-  /// O(appended interactions), not O(dataset) — this replaces the
-  /// per-episode deep copy in the attack environment. `checkpoint` must
-  /// originate from this dataset (or a copy sharing its history) and still
-  /// describe a prefix of it.
+  /// added since are removed and the item profiles they touched are
+  /// truncated. Cost is O(appended interactions), not O(dataset) — this
+  /// replaces the per-episode deep copy in the attack environment.
+  /// `checkpoint` must originate from this dataset (or a copy sharing its
+  /// history) and still describe a prefix of it.
   void RollbackTo(const DatasetCheckpoint& checkpoint);
 
  private:
@@ -116,10 +113,8 @@ class Dataset {
   std::vector<Profile> profiles_;                 // ordered, per user
   std::vector<std::vector<ItemId>> sorted_items_; // sorted copy, per user
   std::vector<std::vector<UserId>> item_profiles_;
-  /// `AppendInteraction` calls recorded since journaling was enabled by the
-  /// first `Checkpoint()`; rollback undoes the suffix past a checkpoint.
-  bool journaling_ = false;
-  std::vector<std::pair<UserId, ItemId>> append_journal_;
+  /// Set by the first `Checkpoint()`; `AppendInteraction` is fatal after.
+  bool checkpointed_ = false;
   /// Trips a fatal check when two threads mutate this dataset at once.
   mutable internal_dataset::MutationSentinel mutation_sentinel_;
 };

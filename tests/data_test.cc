@@ -75,23 +75,15 @@ TEST(DatasetTest, RollbackRemovesAppendedUsers) {
   EXPECT_EQ(d.ItemPopularity(0), 0U);
 }
 
-TEST(DatasetTest, RollbackUndoesAppendedInteractions) {
+TEST(DatasetDeathTest, AppendAfterCheckpointAborts) {
+  // Rollback removes whole users; it cannot undo an interaction appended to
+  // a user that predates the checkpoint, so such an append is fatal.
   Dataset d(6);
   d.AddUser({1});
-  const DatasetCheckpoint checkpoint = d.Checkpoint();
-
-  d.AppendInteraction(0, 4);   // appended to a pre-checkpoint user
-  d.AddUser({4, 2});           // new user also touching item 4
-  d.AppendInteraction(1, 5);   // appended to a post-checkpoint user
-  EXPECT_EQ(d.ItemProfile(4), (std::vector<UserId>{0, 1}));
-
-  d.RollbackTo(checkpoint);
-  EXPECT_EQ(d.num_users(), 1U);
-  EXPECT_EQ(d.num_interactions(), 1U);
-  EXPECT_EQ(d.UserProfile(0), (Profile{1}));
-  EXPECT_FALSE(d.HasInteraction(0, 4));
-  EXPECT_EQ(d.ItemPopularity(4), 0U);
-  EXPECT_EQ(d.ItemPopularity(5), 0U);
+  d.AppendInteraction(0, 3);  // building the dataset: allowed
+  d.Checkpoint();
+  EXPECT_DEATH(d.AppendInteraction(0, 4),
+               "AppendInteraction after a Checkpoint");
 }
 
 TEST(DatasetTest, CheckpointsNestAndRepeat) {
@@ -104,7 +96,6 @@ TEST(DatasetTest, CheckpointsNestAndRepeat) {
   // Repeated episode loop against the inner checkpoint.
   for (int episode = 0; episode < 3; ++episode) {
     d.AddUser({2, 3});
-    d.AppendInteraction(0, static_cast<ItemId>(3));
     d.RollbackTo(inner);
     EXPECT_EQ(d.num_users(), 2U);
     EXPECT_EQ(d.ItemProfile(2), (std::vector<UserId>{1}));
