@@ -80,12 +80,6 @@ std::uint64_t Rng::UniformUint64(std::uint64_t bound) {
   }
 }
 
-int Rng::UniformInt(int lo, int hi) {
-  CA_CHECK_LT(lo, hi);
-  return lo + static_cast<int>(
-                  UniformUint64(static_cast<std::uint64_t>(hi - lo)));
-}
-
 double Rng::UniformDouble() {
   // 53 random mantissa bits -> uniform in [0, 1).
   return static_cast<double>(NextUint64() >> 11) * 0x1.0p-53;
@@ -146,12 +140,6 @@ void Rng::SkipNormals(std::size_t n) {
     }
   }
   for (; n > 0; --n) Normal();
-}
-
-bool Rng::Bernoulli(double p) {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return UniformDouble() < p;
 }
 
 std::vector<std::size_t> Rng::SampleWithoutReplacement(std::size_t n,

@@ -57,9 +57,6 @@ class Rng CA_CHECKPOINTED(Rng::SaveState, Rng::RestoreState) {
   /// Returns an unbiased uniform integer in `[0, bound)`. `bound` must be > 0.
   std::uint64_t UniformUint64(std::uint64_t bound);
 
-  /// Returns a uniform integer in `[lo, hi)` (half-open). Requires `lo < hi`.
-  int UniformInt(int lo, int hi);
-
   /// Returns a uniform double in `[0, 1)`.
   double UniformDouble();
 
@@ -78,9 +75,6 @@ class Rng CA_CHECKPOINTED(Rng::SaveState, Rng::RestoreState) {
   /// loop. Lets a component reserve a stretch of draws now and replay it
   /// later from a saved state.
   void SkipNormals(std::size_t n);
-
-  /// Returns true with probability `p` (clamped to [0,1]).
-  bool Bernoulli(double p);
 
   /// Fisher–Yates shuffles `values` in place.
   template <typename T>

@@ -258,11 +258,11 @@ TEST(TopKTest, HeapSelectMatchesSortedReference) {
   // random score vectors with deliberate duplicates.
   util::Rng rng(testhelpers::TestSeed(29));
   for (int trial = 0; trial < 50; ++trial) {
-    const std::size_t n = static_cast<std::size_t>(rng.UniformInt(1, 65));
+    const std::size_t n = 1 + rng.UniformUint64(64);
     std::vector<float> scores(n);
     for (auto& s : scores) {
       // Quantize to force frequent ties.
-      s = static_cast<float>(rng.UniformInt(0, 8)) * 0.125f;
+      s = static_cast<float>(rng.UniformUint64(8)) * 0.125f;
     }
     for (const std::size_t k : {std::size_t{1}, n / 2, n, n + 5}) {
       if (k == 0) continue;
@@ -292,7 +292,7 @@ TEST(TopKTest, PerRowMatchesRowWiseSelection) {
   const std::size_t k = 5;
   std::vector<float> block(rows * cols);
   for (auto& s : block) {
-    s = static_cast<float>(rng.UniformInt(0, 16)) * 0.0625f;
+    s = static_cast<float>(rng.UniformUint64(16)) * 0.0625f;
   }
   std::vector<std::size_t> out(rows * k);
   TopKPerRow(block.data(), rows, cols, k, out.data());
@@ -324,7 +324,7 @@ TEST(TopKTest, SelectMatchesSortedReferenceOnEveryPath) {
       for (std::size_t i = 0; i < n; ++i) {
         // Quantized to 1/16 so ties are frequent at every n.
         const float random =
-            static_cast<float>(rng.UniformInt(0, 16)) * 0.0625f;
+            static_cast<float>(rng.UniformUint64(16)) * 0.0625f;
         const float rising = static_cast<float>(i / 3) * 0.0625f;
         scores[i] = order == 0   ? random
                     : order == 1 ? rising
@@ -451,7 +451,7 @@ TEST_P(MaskedSoftmaxProperty, MatchesRestrictedSoftmax) {
   bool any = false;
   for (int i = 0; i < n; ++i) {
     values[i] = static_cast<float>(rng.Normal());
-    mask[i] = rng.Bernoulli(0.6);
+    mask[i] = rng.UniformDouble() < 0.6;
     any = any || mask[i];
   }
   if (!any) mask[0] = true;
@@ -492,7 +492,7 @@ TEST_P(AliasTableProperty, NormalizedProbabilitiesPreserved) {
   std::vector<double> weights(n);
   double total = 0.0;
   for (auto& w : weights) {
-    w = rng.Bernoulli(0.2) ? 0.0 : rng.UniformDouble(0.01, 5.0);
+    w = rng.UniformDouble() < 0.2 ? 0.0 : rng.UniformDouble(0.01, 5.0);
     total += w;
   }
   if (total == 0.0) {
