@@ -252,9 +252,10 @@ TEST(ParallelRunner, KillAndResumeMatchesUninterruptedRun) {
   ExpectResultsEqual(uninterrupted, resumed);
 }
 
-// The attack-zoo strategies (ISSUE 8) enter the same sharded-runner
-// determinism contract as CopyAttack: outcomes invariant to the shard
-// count, including under a PR-5 fault schedule.
+// The attack-zoo strategies (ISSUE 8) and the PolicyNetwork baseline, as
+// the factory builds them, enter the same sharded-runner determinism
+// contract as CopyAttack: outcomes invariant to the shard count, including
+// under a PR-5 fault schedule.
 TEST(ParallelRunner, AttackZooShardInvarianceUnderFaultSchedule) {
   const TinyWorld& world = SharedTinyWorld();
   const auto targets = TestTargets(world, 3);
@@ -272,7 +273,8 @@ TEST(ParallelRunner, AttackZooShardInvarianceUnderFaultSchedule) {
   many.jobs = 2;
   many.shards = targets.size();
 
-  for (const std::string method : {"SurrogateTransfer", "Influence"}) {
+  for (const std::string method :
+       {"SurrogateTransfer", "Influence", "PolicyNetwork"}) {
     SCOPED_TRACE(method);
     const StrategyFactory factory = ZooFactory(world, method);
     const ParallelCampaignResult r1 =
@@ -283,7 +285,8 @@ TEST(ParallelRunner, AttackZooShardInvarianceUnderFaultSchedule) {
   }
 }
 
-// Kill-and-resume bit-equality for the zoo strategies: the abort lands
+// Kill-and-resume bit-equality for the zoo strategies and PolicyNetwork
+// (whose blob is CopyAttack's over its one-level tree): the abort lands
 // mid-target (episodes=2 per target, abort after 3), so the resumed run
 // must rebuild each strategy via SaveState/LoadState and continue the
 // exact trajectory — under an active fault schedule.
@@ -301,7 +304,8 @@ TEST(ParallelRunner, AttackZooKillAndResumeMatchesUninterruptedRun) {
   plain.jobs = 1;
   plain.shards = 2;
 
-  for (const std::string method : {"SurrogateTransfer", "Influence"}) {
+  for (const std::string method :
+       {"SurrogateTransfer", "Influence", "PolicyNetwork"}) {
     SCOPED_TRACE(method);
     const StrategyFactory factory = ZooFactory(world, method);
     const std::string dir = FreshDir("zoo_resume_" + method);

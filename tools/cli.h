@@ -25,10 +25,10 @@ namespace copyattack::tools {
 ///       [--checkpoint_dir DIR] [--checkpoint_every N] [--resume 1]
 ///       Runs one attacking method over sampled cold target items and
 ///       prints the WithoutAttack reference row plus the method's row.
-///       Methods: RandomAttack, TargetAttack40/70/100, PolicyNetwork,
-///       CopyAttack, CopyAttack-Masking, CopyAttack-Length,
-///       SurrogateTransfer (alias surrogate_transfer), Influence
-///       (alias influence).
+///       Methods: RandomAttack, TargetAttack40/70/100, PolicyNetwork
+///       (CopyAttack over a one-level tree; ignores --depth), CopyAttack,
+///       CopyAttack-Masking, CopyAttack-Length, SurrogateTransfer (alias
+///       surrogate_transfer), Influence (alias influence).
 ///       --faults injects deterministic oracle faults (and enables the
 ///       retry/circuit-breaker client); --checkpoint_dir turns on
 ///       crash-safe checkpointing (one directory per runner shard,
