@@ -252,10 +252,10 @@ TEST(ParallelRunner, KillAndResumeMatchesUninterruptedRun) {
   ExpectResultsEqual(uninterrupted, resumed);
 }
 
-// The attack-zoo strategies (ISSUE 8) and the PolicyNetwork baseline, as
-// the factory builds them, enter the same sharded-runner determinism
-// contract as CopyAttack: outcomes invariant to the shard count, including
-// under a PR-5 fault schedule.
+// The attack-zoo strategies and the PolicyNetwork baseline, as the factory
+// builds them, enter the same sharded-runner determinism contract as
+// CopyAttack: outcomes invariant to the shard count, including under a
+// fault schedule.
 TEST(ParallelRunner, AttackZooShardInvarianceUnderFaultSchedule) {
   const TinyWorld& world = SharedTinyWorld();
   const auto targets = TestTargets(world, 3);
