@@ -281,8 +281,8 @@ void BM_SquaredDistance(benchmark::State& state) {
 }
 BENCHMARK(BM_SquaredDistance)->Arg(16)->Arg(64)->Arg(256);
 
-// The query round's select: Top-20 of each row of a rows x cols block,
-// into a caller buffer. Args: input order (0 random, 1 ascending,
+// The oracle's select: Top-20 of each row of a rows x cols block, into a
+// caller buffer (a query selects one 101-wide row). Args: input order (0 random, 1 ascending,
 // 2 descending, 3 all equal), cols, rows. `row_ns` is the time per row.
 void BM_TopKPerRow(benchmark::State& state) {
   const int order = static_cast<int>(state.range(0));

@@ -466,7 +466,6 @@ void TargetModels(RecipeRun& run) {
     core::CampaignConfig campaign = DefaultCampaign(4242);
     campaign.episodes = 1;
     campaign.env.refit_on_query = variant.refit;
-    campaign.env.refit_epochs = 1;
     const auto clean = core::EvaluateWithoutAttack(
         bw.world.dataset, bw.split.train, variant.factory, targets,
         campaign);

@@ -3,8 +3,6 @@
 #include <algorithm>
 
 #include "core/proxy.h"
-#include "math/metrics.h"
-
 #include "obs/obs.h"
 #include "util/check.h"
 
@@ -178,53 +176,27 @@ bool AttackEnvironment::TryRawHitRatio(double* out) {
   CA_CHECK(black_box_ != nullptr) << "Reset must be called first";
   OBS_COUNTER_INC("env.query_rounds");
   if (config_.refit_on_query) {
-    for (std::size_t e = 0; e < config_.refit_epochs; ++e) {
-      model_->TrainEpoch(*polluted_, refit_rng_);
-    }
+    model_->TrainEpoch(*polluted_, refit_rng_);
     model_->BeginServing(*polluted_);
   }
   ++lifetime_queries_;  // one query round (attempted rounds count too)
-  double total = 0.0;
-  const auto score = [&](const rec::QueryResult& response) {
-    if (!response.ok()) return;  // individual failure = miss
-    const auto it = std::find(response.items.begin(), response.items.end(),
-                              target_item_);
-    if (it == response.items.end()) return;
-    if (config_.reward_metric == RewardMetric::kNdcg) {
-      const std::size_t rank =
-          static_cast<std::size_t>(it - response.items.begin());
-      total += math::NdcgAtK(rank, config_.reward_k);
-    } else {
-      total += 1.0;
-    }
-  };
-
-  // One dense score block needs equal-length rows; tiny datasets can come
-  // up short of negatives for some pretend users.
-  const bool rectangular = std::all_of(
-      query_candidates_.begin(), query_candidates_.end(),
-      [&](const std::vector<data::ItemId>& list) {
-        return list.size() == query_candidates_.front().size();
-      });
-  if (oracle_ == black_box_.get() && rectangular) {
-    for (const rec::QueryResult& response : black_box_->QueryTopKBatch(
-             pretend_user_ids_, query_candidates_, config_.reward_k)) {
-      score(response);
-    }
-  } else {
-    // Decorators draw per operation, so probe one pretend user at a time
-    // in order. The first kUnavailable (retries exhausted or breaker
-    // open) loses the whole round without touching the oracle again.
-    for (std::size_t i = 0; i < pretend_user_ids_.size(); ++i) {
-      const rec::QueryResult response = oracle_->Query(
-          pretend_user_ids_[i], query_candidates_[i], config_.reward_k);
-      if (response.status == rec::BlackBoxStatus::kUnavailable) {
-        return false;
-      }
-      score(response);
+  // Decorators draw per operation, so probe one pretend user at a time in
+  // order. The first kUnavailable (retries exhausted or breaker open)
+  // loses the whole round without touching the oracle again; any other
+  // failed query is a miss.
+  std::size_t hits = 0;
+  for (std::size_t i = 0; i < pretend_user_ids_.size(); ++i) {
+    const rec::QueryResult response = oracle_->Query(
+        pretend_user_ids_[i], query_candidates_[i], config_.reward_k);
+    if (response.status == rec::BlackBoxStatus::kUnavailable) return false;
+    if (response.ok() &&
+        std::find(response.items.begin(), response.items.end(),
+                  target_item_) != response.items.end()) {
+      ++hits;
     }
   }
-  *out = total / static_cast<double>(pretend_user_ids_.size());
+  *out = static_cast<double>(hits) /
+         static_cast<double>(pretend_user_ids_.size());
   return true;
 }
 

@@ -27,19 +27,10 @@ enum class AttackGoal {
   kDemote,
 };
 
-/// Ranking measure behind the reward ("this type of reward function based
-/// on ranking evaluation is quite general", paper §4.2).
-enum class RewardMetric {
-  kHitRatio,  ///< Eq. (1): HR@k over the pretend users
-  kNdcg,      ///< NDCG@k over the pretend users
-};
-
 /// Parameters of the black-box attacking environment (paper §4.2, §5.1.3).
 struct EnvConfig {
   /// Attack direction.
   AttackGoal goal = AttackGoal::kPromote;
-  /// Ranking measure aggregated over the pretend users.
-  RewardMetric reward_metric = RewardMetric::kHitRatio;
   /// Budget Δ: maximum number of profiles to copy per episode.
   std::size_t budget = 30;
   /// Queries are performed after every `query_interval` injections.
@@ -60,10 +51,9 @@ struct EnvConfig {
   /// episode ends once the attacker has spent its query budget.
   std::size_t max_query_rounds = 0;
   /// When true the platform additionally fine-tunes the model on the
-  /// polluted data at each query round (models a periodically retrained
-  /// transductive target such as plain MF).
+  /// polluted data for one epoch at each query round (models a
+  /// periodically retrained transductive target such as plain MF).
   bool refit_on_query = false;
-  std::size_t refit_epochs = 1;
   /// Seed for pretend-user generation and query candidate sampling.
   std::uint64_t seed = 1234;
   /// Simulated-fault schedule for the black-box oracle (off by default;
@@ -114,20 +104,10 @@ class AttackEnvironment {
   /// `proxy_reward_fallbacks()`).
   double QueryReward();
 
-  /// Raw ranking measure (HR@k or NDCG@k per `reward_metric`) of the
-  /// target item over the pretend users at this instant (one query round;
-  /// counts toward the query meter). Degrades like `QueryReward`.
+  /// Raw HR@k (Eq. 1) of the target item over the pretend users at this
+  /// instant (one query round; counts toward the query meter). Degrades
+  /// like `QueryReward`.
   double RawHitRatio();
-
-  /// Attempts one real query round. Returns false — leaving `*out`
-  /// untouched — if the oracle reported kUnavailable mid-round; individual
-  /// non-ok queries short of that merely count as misses. On the clean
-  /// stack (no fault or resilience decorator) with equal-length candidate
-  /// lists the round is one blocked `QueryTopKBatch` call; otherwise it
-  /// probes the outermost oracle per pretend user, in order, so decorator
-  /// draw sequences are those of a per-query client. Both give the same
-  /// answers and the same query meter.
-  bool TryRawHitRatio(double* out);
 
   bool done() const { return done_; }
   data::ItemId target_item() const { return target_item_; }
@@ -190,6 +170,12 @@ class AttackEnvironment {
   }
 
  private:
+  /// Attempts one real query round: one `Query` on the outermost oracle
+  /// per pretend user, in order. Returns false — leaving `*out` untouched
+  /// — once the oracle reports kUnavailable (the rest of the round is
+  /// skipped); any other failed query merely counts as a miss.
+  bool TryRawHitRatio(double* out);
+
   /// Builds the pretend users' profiles (subsequences of random real
   /// profiles — plausible accounts the attacker registered beforehand).
   void GeneratePretendProfiles();

@@ -33,7 +33,7 @@ void ResilientBlackBox::SetState(BreakerState state) {
 bool ResilientBlackBox::BreakerAdmits() {
   if (state_ == BreakerState::kClosed) return true;
   if (state_ == BreakerState::kOpen) {
-    if (NowUs() - opened_at_us_ < config_.breaker.open_duration_us) {
+    if (virtual_now_us_ - opened_at_us_ < config_.breaker.open_duration_us) {
       return false;
     }
     // Cool-down elapsed: admit probes.
@@ -58,7 +58,7 @@ void ResilientBlackBox::OnOperationFailure() {
     // A failed probe means the oracle has not recovered: reopen and
     // restart the cool-down.
     SetState(BreakerState::kOpen);
-    opened_at_us_ = NowUs();
+    opened_at_us_ = virtual_now_us_;
     ++stats_.breaker_reopens;
     OBS_COUNTER_INC("fault.breaker_reopens");
     return;
@@ -67,7 +67,7 @@ void ResilientBlackBox::OnOperationFailure() {
   if (state_ == BreakerState::kClosed &&
       failure_streak_ >= config_.breaker.failure_threshold) {
     SetState(BreakerState::kOpen);
-    opened_at_us_ = NowUs();
+    opened_at_us_ = virtual_now_us_;
     failure_streak_ = 0;
     ++stats_.breaker_trips;
     OBS_COUNTER_INC("fault.breaker_trips");

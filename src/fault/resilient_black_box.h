@@ -8,7 +8,6 @@
 
 #include "data/dataset.h"
 #include "obs/obs.h"
-#include "obs/time.h"
 #include "rec/black_box.h"
 #include "util/rng.h"
 
@@ -36,26 +35,15 @@ struct BreakerPolicy {
   std::size_t half_open_successes = 2;
 };
 
-/// What clock drives backoff accounting and the breaker cool-down.
-enum class ClockMode {
-  /// A logical clock owned by the client, advanced by `virtual_op_cost_us`
-  /// per operation and by each backoff wait. Fully deterministic: same
-  /// seed + schedule ⇒ same breaker transitions ⇒ same campaign outcome.
-  kVirtual,
-  /// Real time via obs::MonotonicNanos() (test-overridable through
-  /// obs::SetMonotonicSourceForTest).
-  kMonotonic,
-};
-
 struct ResilienceConfig {
   bool enabled = false;
   /// Seed of the jitter stream.
   std::uint64_t seed = 0x5EEDULL;
   RetryPolicy retry;
   BreakerPolicy breaker;
-  ClockMode clock = ClockMode::kVirtual;
-  /// Logical cost charged per black-box operation in kVirtual mode; this
-  /// is what eventually moves an open breaker past its cool-down.
+  /// Logical cost charged to the client's virtual clock per black-box
+  /// operation; this is what eventually moves an open breaker past its
+  /// cool-down.
   std::uint64_t virtual_op_cost_us = 10000;
 };
 
@@ -125,18 +113,12 @@ class ResilientBlackBox final : public rec::BlackBoxInterface {
            status == rec::BlackBoxStatus::kRateLimited;
   }
 
-  std::uint64_t NowUs() const {
-    if (config_.clock == ClockMode::kVirtual) return virtual_now_us_;
-    return static_cast<std::uint64_t>(obs::MonotonicNanos() / 1000);
-  }
-
-  /// Accounts one backoff wait. kVirtual advances the logical clock;
-  /// kMonotonic does not really sleep, because the in-process oracle has
-  /// no reason to.
+  /// Accounts one backoff wait on the virtual clock; nothing really
+  /// sleeps, because the in-process oracle has no reason to.
   void Wait(std::uint64_t micros) {
     stats_.total_backoff_us += micros;
     OBS_HIST_OBSERVE("fault.backoff_us", micros);
-    if (config_.clock == ClockMode::kVirtual) virtual_now_us_ += micros;
+    virtual_now_us_ += micros;
   }
 
   /// True if the breaker admits a call right now (possibly transitioning
@@ -152,9 +134,7 @@ class ResilientBlackBox final : public rec::BlackBoxInterface {
     // The logical clock ticks on every call — including short-circuited
     // ones — so an open breaker always ages toward half-open even when
     // nothing reaches the oracle.
-    if (config_.clock == ClockMode::kVirtual) {
-      virtual_now_us_ += config_.virtual_op_cost_us;
-    }
+    virtual_now_us_ += config_.virtual_op_cost_us;
     if (!BreakerAdmits()) {
       ++stats_.short_circuited;
       OBS_COUNTER_INC("fault.short_circuited");
@@ -203,6 +183,10 @@ class ResilientBlackBox final : public rec::BlackBoxInterface {
   std::size_t failure_streak_ = 0;
   std::size_t half_open_successes_ = 0;
   std::uint64_t opened_at_us_ = 0;
+  /// The client's logical clock, advanced by `virtual_op_cost_us` per
+  /// operation and by each backoff wait. It drives backoff accounting and
+  /// the breaker cool-down, so the same seed and fault schedule give the
+  /// same breaker transitions and the same campaign outcome.
   std::uint64_t virtual_now_us_ = 0;
   Stats stats_;
 };

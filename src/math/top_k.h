@@ -15,17 +15,17 @@ std::vector<std::size_t> TopKIndicesBySort(const std::vector<float>& scores,
                                            std::size_t k);
 
 /// Selects the Top-k of every row of a dense row-major `rows x cols`
-/// score block in one call (the batched-oracle form: one row per queried
-/// user). Row `r`'s result occupies `out[r * k .. r * k + k)`, best
-/// first, with the same deterministic tie-breaking as `TopKIndicesBySort`
-/// and bit-identical to it (equivalence is enforced by tests). Requires
-/// `k <= cols`; `out` must hold `rows * k` entries.
+/// score block in one call. Row `r`'s result occupies
+/// `out[r * k .. r * k + k)`, best first, with the same deterministic
+/// tie-breaking as `TopKIndicesBySort` and bit-identical to it
+/// (equivalence is enforced by tests). Requires `k <= cols`; `out` must
+/// hold `rows * k` entries.
 ///
 /// Selection is exact: k <= 64 keeps a sorted insertion buffer on the
 /// stack, k == cols sorts all indices in the output, and the k in between
 /// (no caller) partial-sorts a local index vector. Allocates nothing for
-/// k <= 64 or k == cols: the query round calls it once per round with
-/// k = 20, and `rows == 1` serves a single query.
+/// k <= 64 or k == cols: the oracle calls it with `rows == 1` once per
+/// Top-k query, with k = 20 in the query round.
 void TopKPerRow(const float* scores, std::size_t rows, std::size_t cols,
                 std::size_t k, std::size_t* out);
 

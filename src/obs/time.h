@@ -1,33 +1,16 @@
 #ifndef COPYATTACK_OBS_TIME_H_
 #define COPYATTACK_OBS_TIME_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 
 namespace copyattack::obs {
-
-/// Test hook: when non-null, replaces the steady-clock read below. Lets
-/// tests drive time-dependent logic (retry backoff deadlines, circuit
-/// breaker cool-down) through a fake clock deterministically.
-using MonotonicSourceFn = std::int64_t (*)();
-inline std::atomic<MonotonicSourceFn> g_monotonic_source_for_test{nullptr};
-
-/// Installs (or, with nullptr, removes) a fake monotonic time source.
-/// Tests only; not thread-safe against in-flight timing reads that
-/// straddle the swap, so install before starting any timed work.
-inline void SetMonotonicSourceForTest(MonotonicSourceFn fn) {
-  g_monotonic_source_for_test.store(fn, std::memory_order_relaxed);
-}
 
 /// The repository's single monotonic time source. All timing — spans,
 /// histogram timers, wall-clock stopwatches — flows through here so the
 /// lint wall can ban ad-hoc `steady_clock::now()` calls in the core/rec
 /// layers (rule `raw-clock`) without losing any capability.
 inline std::int64_t MonotonicNanos() {
-  const MonotonicSourceFn fn =
-      g_monotonic_source_for_test.load(std::memory_order_relaxed);
-  if (fn != nullptr) return fn();
   return std::chrono::duration_cast<std::chrono::nanoseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();

@@ -9,10 +9,10 @@
 namespace copyattack::rec {
 namespace {
 
-/// Score row(s) and selected positions of the query kernels. One per
-/// thread, because threads may query one oracle concurrently; it grows to
-/// the largest round seen and is reused, so a warm round allocates only
-/// the answer lists it returns.
+/// Score row and selected positions of the query kernel. One per thread,
+/// because threads may query one oracle concurrently; it grows to the
+/// longest candidate list seen and is reused, so a warm query allocates
+/// only the answer list it returns.
 struct QueryScratch {
   std::vector<float> scores;
   std::vector<std::size_t> top;
@@ -21,25 +21,6 @@ struct QueryScratch {
 QueryScratch& ThreadQueryScratch() {
   thread_local QueryScratch scratch;
   return scratch;
-}
-
-/// Scores `rows` equal-length candidate lists into the scratch block and
-/// selects the Top-`select` positions of each row.
-void ScoreAndSelect(const Recommender& model,
-                    const data::UserId* users,
-                    const std::vector<data::ItemId>* candidates,
-                    std::size_t rows, std::size_t cols, std::size_t select,
-                    QueryScratch& scratch) CA_HOT_PATH {
-  scratch.scores.resize(rows * cols);
-  scratch.top.resize(rows * select);
-  for (std::size_t row = 0; row < rows; ++row) {
-    model.ScoreCandidatesInto(users[row], candidates[row],
-                              scratch.scores.data() + row * cols);
-  }
-  if (select > 0) {
-    math::TopKPerRow(scratch.scores.data(), rows, cols, select,
-                     scratch.top.data());
-  }
 }
 
 }  // namespace
@@ -80,55 +61,25 @@ data::UserId BlackBoxRecommender::InjectUser(data::Profile profile) {
 
 std::vector<data::ItemId> BlackBoxRecommender::QueryTopK(
     data::UserId user, const std::vector<data::ItemId>& candidates,
-    std::size_t k) {
+    std::size_t k) CA_HOT_PATH {
   OBS_SCOPED_TIMER_US("blackbox.query_topk_us");
   OBS_COUNTER_INC("blackbox.queries");
   query_count_.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t select = std::min(k, candidates.size());
+  const std::size_t cols = candidates.size();
+  const std::size_t select = std::min(k, cols);
   QueryScratch& scratch = ThreadQueryScratch();
-  ScoreAndSelect(*model_, &user, &candidates, 1, candidates.size(), select,
-                 scratch);
+  scratch.scores.resize(cols);
+  scratch.top.resize(select);
+  model_->ScoreCandidatesInto(user, candidates, scratch.scores.data());
+  if (select > 0) {
+    math::TopKPerRow(scratch.scores.data(), 1, cols, select,
+                     scratch.top.data());
+  }
   std::vector<data::ItemId> items(select);
   for (std::size_t j = 0; j < select; ++j) {
     items[j] = candidates[scratch.top[j]];
   }
   return items;
-}
-
-std::vector<QueryResult> BlackBoxRecommender::QueryTopKBatch(
-    const std::vector<data::UserId>& users,
-    const std::vector<std::vector<data::ItemId>>& candidates,
-    std::size_t k) {
-  OBS_SCOPED_TIMER_US("blackbox.query_batch_us");
-  CA_CHECK_EQ(users.size(), candidates.size());
-  std::vector<QueryResult> results(users.size());
-  if (users.empty()) return results;
-
-  const std::size_t cols = candidates.front().size();
-  for (const auto& list : candidates) {
-    CA_CHECK_EQ(list.size(), cols)
-        << "batched queries require equal-length candidate lists";
-  }
-  OBS_COUNTER_ADD("blackbox.queries", users.size());
-  OBS_HIST_OBSERVE("blackbox.batch_users", users.size());
-  query_count_.fetch_add(users.size(), std::memory_order_relaxed);
-
-  // One contiguous users x candidates score block, filled row by row
-  // with the model's row scorer, then one exact select per row. The
-  // per-row results are bit-identical to QueryTopK's because both run the
-  // same kernels.
-  const std::size_t select = std::min(k, cols);
-  QueryScratch& scratch = ThreadQueryScratch();
-  ScoreAndSelect(*model_, users.data(), candidates.data(), users.size(),
-                 cols, select, scratch);
-  for (std::size_t row = 0; row < users.size(); ++row) {
-    std::vector<data::ItemId>& items = results[row].items;
-    items.resize(select);
-    for (std::size_t j = 0; j < select; ++j) {
-      items[j] = candidates[row][scratch.top[row * select + j]];
-    }
-  }
-  return results;
 }
 
 InjectResult BlackBoxRecommender::Inject(data::Profile profile) {

@@ -108,22 +108,12 @@ class BlackBoxRecommender final : public BlackBoxInterface {
 
   /// Query access: Top-k item ids among `candidates` for `user`, best
   /// first. Increments the query counter. (Infallible concrete form of
-  /// `Query`.)
+  /// `Query`.) Scores the candidates with the model's row scorer
+  /// (`Recommender::ScoreCandidatesInto`) and selects with the exact
+  /// `math::TopKPerRow`, both into reused per-thread scratch: the only
+  /// allocation is the returned list.
   std::vector<data::ItemId> QueryTopK(
       data::UserId user, const std::vector<data::ItemId>& candidates,
-      std::size_t k);
-
-  /// Batched query access: answers `users.size()` Top-k queries in one
-  /// blocked call. All candidate lists must have equal length, so the
-  /// scores form one dense row-major users x candidates block, filled by
-  /// the model's row scorer (`Recommender::ScoreCandidatesInto`) and
-  /// selected per row by the exact `math::TopKPerRow`, both into reused
-  /// per-thread scratch: the only allocations are the returned lists.
-  /// Each answered query still counts once on the query meter, and every
-  /// result is bit-identical to the corresponding per-query `QueryTopK`.
-  std::vector<QueryResult> QueryTopKBatch(
-      const std::vector<data::UserId>& users,
-      const std::vector<std::vector<data::ItemId>>& candidates,
       std::size_t k);
 
   InjectResult Inject(data::Profile profile) override;

@@ -72,7 +72,7 @@ class Recommender {
 
   /// Scores a candidate list into a caller-provided buffer of
   /// `candidates.size()` floats — the allocation-free row primitive the
-  /// oracle uses to fill one contiguous user x item score block. The
+  /// oracle scores each Top-k query with, into reused scratch. The
   /// default calls `Score` per candidate; a model may override it with a
   /// row loop, which must return exactly what `Score` returns per item.
   virtual void ScoreCandidatesInto(

@@ -167,7 +167,6 @@ TEST(RollbackEquivalenceTest, RefitOnQueryFallsBackToRebuild) {
 
   EnvConfig config = RollbackEnvConfig();
   config.refit_on_query = true;
-  config.refit_epochs = 1;
   AttackEnvironment env(tw.world.dataset, tw.split.train, &model, config);
   for (int episode = 0; episode < 3; ++episode) {
     PlayEpisode(env, tw.cold_target);

@@ -456,33 +456,5 @@ TEST(CopyAttackTest, GruEncoderAgentRuns) {
   }
 }
 
-TEST(EnvironmentTest, NdcgRewardIsAtMostHitRatio) {
-  const auto& tw = SharedTinyWorld();
-  rec::PinSageLite model_h = tw.model;
-  rec::PinSageLite model_n = tw.model;
-  EnvConfig hr_config = SmallEnvConfig();
-  EnvConfig ndcg_config = SmallEnvConfig();
-  ndcg_config.reward_metric = RewardMetric::kNdcg;
-
-  AttackEnvironment hr_env(tw.world.dataset, tw.split.train, &model_h,
-                           hr_config);
-  AttackEnvironment ndcg_env(tw.world.dataset, tw.split.train, &model_n,
-                             ndcg_config);
-  hr_env.Reset(tw.cold_target);
-  ndcg_env.Reset(tw.cold_target);
-
-  // Inject the same holders into both, then compare raw measures.
-  const auto& holders = tw.world.dataset.SourceHolders(tw.cold_target);
-  for (std::size_t i = 0; i < 3 && i < holders.size(); ++i) {
-    hr_env.Step(tw.world.dataset.source.UserProfile(holders[i]));
-    ndcg_env.Step(tw.world.dataset.source.UserProfile(holders[i]));
-  }
-  const double hr = hr_env.RawHitRatio();
-  const double ndcg = ndcg_env.RawHitRatio();
-  // NDCG discounts rank, so per user it is <= the hit indicator.
-  EXPECT_LE(ndcg, hr + 1e-9);
-  EXPECT_GE(ndcg, 0.0);
-}
-
 }  // namespace
 }  // namespace copyattack::core

@@ -20,7 +20,6 @@
 #include "fault/fault_injector.h"
 #include "fault/resilient_black_box.h"
 #include "gtest/gtest.h"
-#include "obs/time.h"
 #include "rec/black_box.h"
 #include "test_helpers.h"
 
@@ -337,37 +336,6 @@ TEST(ResilientBlackBoxTest, BreakerTripsHalfOpensAndCloses) {
   }
   EXPECT_EQ(client.stats().breaker_closes, 1U);
   EXPECT_TRUE(client.Query(0, {0}, 1).ok());
-}
-
-namespace clockns {
-std::int64_t fake_nanos = 0;
-std::int64_t FakeNanos() { return fake_nanos; }
-}  // namespace clockns
-
-TEST(ResilientBlackBoxTest, MonotonicClockModeUsesObsTimeSource) {
-  obs::SetMonotonicSourceForTest(&clockns::FakeNanos);
-  clockns::fake_nanos = 0;
-  FakeBlackBox inner;
-  inner.FailAlways(rec::BlackBoxStatus::kTimeout);
-  fault::ResilienceConfig config;
-  config.enabled = true;
-  config.clock = fault::ClockMode::kMonotonic;
-  config.retry.max_attempts = 1;
-  config.breaker.failure_threshold = 1;
-  config.breaker.open_duration_us = 1000;
-  config.breaker.half_open_successes = 1;
-  fault::ResilientBlackBox client(&inner, config);
-
-  client.Query(0, {0}, 1);  // trips at fake time 0
-  EXPECT_EQ(client.breaker_state(), fault::BreakerState::kOpen);
-  EXPECT_EQ(client.Query(0, {0}, 1).status,
-            rec::BlackBoxStatus::kUnavailable);
-
-  clockns::fake_nanos = 2000 * 1000;  // 2000 us > open_duration
-  inner.Recover();
-  EXPECT_TRUE(client.Query(0, {0}, 1).ok());
-  EXPECT_EQ(client.breaker_state(), fault::BreakerState::kClosed);
-  obs::SetMonotonicSourceForTest(nullptr);
 }
 
 TEST(ResilientBlackBoxTest, DisabledConfigIsTransparent) {

@@ -192,7 +192,6 @@ TEST(IntegrationTest, RefitOnQueryEnvironmentWorks) {
   config.num_pretend_users = 8;
   config.query_candidates = 50;
   config.refit_on_query = true;
-  config.refit_epochs = 1;
   config.seed = 5;
 
   AttackEnvironment env(tw.world.dataset, tw.split.train, &mf, config);

@@ -68,7 +68,7 @@ void RunLockOrderPass(const SourceTree& tree,
 
 /// Oracle-access pass: every path from src/ code to the metered black-box
 /// oracle must traverse the decorator stack declared in layers.toml's
-/// [oracle] section. Direct calls to an entry point (QueryTopK*, InjectUser)
+/// [oracle] section. Direct calls to an entry point (QueryTopK, InjectUser)
 /// or to a seam method (Query/Inject) on an oracle-typed receiver, from
 /// outside the allowlisted modules/files, are findings — as are their
 /// transitive src/ callers. Inert when [oracle] is absent.

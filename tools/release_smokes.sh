@@ -6,6 +6,7 @@
 #   2c. the tiny arms-race frontier schema check, then the deterministic
 #       recipes regenerated and compared exactly (--tol=0) with their
 #       committed CSVs
+#   2d. every program under examples/ runs to exit 0
 #
 # Usage: tools/release_smokes.sh   (needs build/ from the release preset)
 # Reports land under build/reports/.
@@ -81,3 +82,20 @@ for name in defense_detectability table1_datasets query_budget extensions; do
 done
 rm -rf "${bench_tmp}"
 echo "recipe smoke OK (9/9 frontier cells; 4 recipes reproduce exactly)"
+
+# 2d. Example smoke: the example programs are the library's documented
+# entry points (quickstart drives AttackEnvironment directly), so each
+# must run to exit 0. They run from a scratch directory because
+# promotion_campaign writes its CSV to the working directory.
+step "examples smoke"
+examples_tmp="$(mktemp -d)"
+for example in quickstart promotion_campaign profile_realism \
+               budget_planner detector_audit; do
+  if ! (cd "${examples_tmp}" && \
+        "${repo_root}/build/examples/${example}" >/dev/null); then
+    echo "check_all: examples smoke FAILED: ${example}" >&2
+    exit 1
+  fi
+done
+rm -rf "${examples_tmp}"
+echo "examples smoke OK (5/5 exit 0)"

@@ -47,6 +47,7 @@
 #include "serve/attack_server.h"
 #include "serve/job_queue.h"
 #include "util/rng.h"
+#include "util/string_utils.h"
 
 namespace {
 
@@ -198,15 +199,6 @@ std::size_t CountLines(const std::string& text) {
   return lines;
 }
 
-bool ParseSize(const std::string& text, std::size_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') return false;
-  *out = static_cast<std::size_t>(value);
-  return true;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -215,14 +207,14 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     std::size_t parsed = 0;
     if (arg.rfind("--cycles=", 0) == 0) {
-      if (!ParseSize(arg.substr(9), &parsed) || parsed == 0) {
+      if (!util::ParseSizeT(arg.substr(9), &parsed) || parsed == 0) {
         std::fprintf(stderr, "soak_runner: bad --cycles '%s'\n",
                      arg.c_str());
         return 2;
       }
       options.cycles = parsed;
     } else if (arg.rfind("--seed=", 0) == 0) {
-      if (!ParseSize(arg.substr(7), &parsed)) {
+      if (!util::ParseSizeT(arg.substr(7), &parsed)) {
         std::fprintf(stderr, "soak_runner: bad --seed '%s'\n", arg.c_str());
         return 2;
       }
