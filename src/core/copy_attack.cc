@@ -39,6 +39,16 @@ CopyAttack::CopyAttack(const data::CrossDomainDataset* dataset,
       user_embeddings, item_embeddings, config_.crafting, init_rng);
 }
 
+CopyAttack::CopyAttack(const data::CrossDomainDataset* dataset,
+                       std::shared_ptr<const cluster::HierarchicalTree> tree,
+                       const math::Matrix* user_embeddings,
+                       const math::Matrix* item_embeddings,
+                       const CopyAttackConfig& config, std::uint64_t seed)
+    : CopyAttack(dataset, tree.get(), user_embeddings, item_embeddings,
+                 config, seed) {
+  shared_tree_ = std::move(tree);
+}
+
 std::string CopyAttack::name() const {
   if (!config_.use_masking) return "CopyAttack-Masking";
   if (!config_.use_crafting) return "CopyAttack-Length";

@@ -87,6 +87,15 @@ class CopyAttack CA_CHECKPOINTED(CopyAttack::SaveState, CopyAttack::LoadState)
              const math::Matrix* item_embeddings,
              const CopyAttackConfig& config, std::uint64_t seed);
 
+  /// As above, but the agent shares ownership of `tree`, so it stays valid
+  /// however long the agent lives (the "PolicyNetwork" strategies of
+  /// `serve::MakeStrategyFactory` outlive their factory this way).
+  CopyAttack(const data::CrossDomainDataset* dataset,
+             std::shared_ptr<const cluster::HierarchicalTree> tree,
+             const math::Matrix* user_embeddings,
+             const math::Matrix* item_embeddings,
+             const CopyAttackConfig& config, std::uint64_t seed);
+
   std::string name() const override;
   void BeginTargetItem(data::ItemId target_item) override;
   double RunEpisode(AttackEnvironment& env, util::Rng& rng) override;
@@ -134,6 +143,10 @@ class CopyAttack CA_CHECKPOINTED(CopyAttack::SaveState, CopyAttack::LoadState)
       CA_NOT_CHECKPOINTED("borrowed pointer, rebound at construction");
   const cluster::HierarchicalTree* tree_
       CA_NOT_CHECKPOINTED("borrowed pointer, rebound at construction");
+  /// Keeps `tree_` alive when the agent shares the tree; null when the
+  /// tree is borrowed.
+  std::shared_ptr<const cluster::HierarchicalTree> shared_tree_
+      CA_NOT_CHECKPOINTED("ownership of tree_, rebound at construction");
   CopyAttackConfig config_ CA_NOT_CHECKPOINTED(
       "configuration, part of the campaign fingerprint, not mutable state");
 

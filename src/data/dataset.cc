@@ -31,24 +31,28 @@ class ScopedMutation {
 }  // namespace
 
 Dataset::Dataset(std::size_t num_items)
-    : num_items_(num_items), item_profiles_(num_items) {
+    : num_items_(num_items),
+      words_per_user_((num_items + kBitsPerWord - 1) / kBitsPerWord),
+      item_profiles_(num_items) {
   CA_CHECK_GT(num_items, 0U);
 }
 
 UserId Dataset::AddUser(Profile profile) {
   ScopedMutation mutation(mutation_sentinel_);
   const UserId user = static_cast<UserId>(profiles_.size());
-  std::vector<ItemId> sorted = profile;
-  std::sort(sorted.begin(), sorted.end());
-  CA_CHECK(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end())
-      << "duplicate item in profile of user " << user;
+  for (const ItemId item : profile) CA_CHECK_LT(item, num_items_);
+  membership_.resize(membership_.size() + words_per_user_, 0);
+  std::uint64_t* row = membership_.data() + user * words_per_user_;
   for (const ItemId item : profile) {
-    CA_CHECK_LT(item, num_items_);
+    std::uint64_t& word = row[item / kBitsPerWord];
+    const std::uint64_t bit = std::uint64_t{1} << (item % kBitsPerWord);
+    CA_CHECK((word & bit) == 0)
+        << "duplicate item in profile of user " << user;
+    word |= bit;
     item_profiles_[item].push_back(user);
   }
   num_interactions_ += profile.size();
   profiles_.push_back(std::move(profile));
-  sorted_items_.push_back(std::move(sorted));
   return user;
 }
 
@@ -61,8 +65,8 @@ void Dataset::AppendInteraction(UserId user, ItemId item) {
   CA_CHECK(!HasInteraction(user, item))
       << "user " << user << " already interacted with item " << item;
   profiles_[user].push_back(item);
-  auto& sorted = sorted_items_[user];
-  sorted.insert(std::upper_bound(sorted.begin(), sorted.end(), item), item);
+  membership_[user * words_per_user_ + item / kBitsPerWord] |=
+      std::uint64_t{1} << (item % kBitsPerWord);
   item_profiles_[item].push_back(user);
   ++num_interactions_;
 }
@@ -101,7 +105,7 @@ void Dataset::RollbackTo(const DatasetCheckpoint& checkpoint) {
     for (const ItemId item : profiles_[u]) truncate_item(item);
   }
   profiles_.resize(checkpoint.num_users);
-  sorted_items_.resize(checkpoint.num_users);
+  membership_.resize(checkpoint.num_users * words_per_user_);
   num_interactions_ = checkpoint.num_interactions;
 }
 
@@ -113,12 +117,6 @@ const Profile& Dataset::UserProfile(UserId user) const {
 const std::vector<UserId>& Dataset::ItemProfile(ItemId item) const {
   CA_CHECK_LT(item, num_items_);
   return item_profiles_[item];
-}
-
-bool Dataset::HasInteraction(UserId user, ItemId item) const {
-  CA_CHECK_LT(user, profiles_.size());
-  const auto& sorted = sorted_items_[user];
-  return std::binary_search(sorted.begin(), sorted.end(), item);
 }
 
 std::vector<Interaction> Dataset::AllInteractions() const {

@@ -9,6 +9,7 @@
 
 #include "data/types.h"
 #include "util/annotations.h"
+#include "util/check.h"
 
 namespace copyattack::data {
 
@@ -80,8 +81,15 @@ class Dataset {
     return ItemProfile(item).size();
   }
 
-  /// True if `user` interacted with `item` (O(log profile) lookup).
-  bool HasInteraction(UserId user, ItemId item) const;
+  /// True if `user` interacted with `item`: one word of the membership
+  /// bitset. An item outside the universe is never interacted with.
+  bool HasInteraction(UserId user, ItemId item) const {
+    CA_CHECK_LT(user, profiles_.size());
+    if (item >= num_items_) return false;
+    const std::uint64_t word =
+        membership_[user * words_per_user_ + item / kBitsPerWord];
+    return ((word >> (item % kBitsPerWord)) & 1U) != 0;
+  }
 
   /// Flattens all interactions (user order, then sequence order).
   std::vector<Interaction> AllInteractions() const;
@@ -100,18 +108,29 @@ class Dataset {
   DatasetCheckpoint Checkpoint();
 
   /// Reverts the dataset to the state captured by `checkpoint`: users
-  /// added since are removed and the item profiles they touched are
-  /// truncated. Cost is O(appended interactions), not O(dataset) — this
+  /// added since are removed, the item profiles they touched are
+  /// truncated and the membership bitset is cut back to the checkpointed
+  /// users' rows. Cost is O(appended interactions), not O(dataset) — this
   /// replaces the per-episode deep copy in the attack environment.
   /// `checkpoint` must originate from this dataset (or a copy sharing its
   /// history) and still describe a prefix of it.
   void RollbackTo(const DatasetCheckpoint& checkpoint);
 
  private:
+  static constexpr std::size_t kBitsPerWord = 64;
+
   std::size_t num_items_;
+  /// ⌈num_items / 64⌉: the length of one user's row in `membership_`.
+  std::size_t words_per_user_;
   std::size_t num_interactions_ = 0;
-  std::vector<Profile> profiles_;                 // ordered, per user
-  std::vector<std::vector<ItemId>> sorted_items_; // sorted copy, per user
+  std::vector<Profile> profiles_;  // ordered, per user
+  /// Membership bitset, one row of `words_per_user_` words per user in
+  /// user order: bit `item % 64` of word `item / 64` of a user's row is
+  /// set iff the user interacted with `item`. It costs
+  /// users × ⌈items/64⌉ × 8 bytes (2.9 MB at 20,000 × 1,100). Rollback
+  /// truncates it and keeps its capacity, so re-planting users allocates
+  /// nothing.
+  std::vector<std::uint64_t> membership_;
   std::vector<std::vector<UserId>> item_profiles_;
   /// Set by the first `Checkpoint()`; `AppendInteraction` is fatal after.
   bool checkpointed_ = false;

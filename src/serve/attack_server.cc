@@ -159,7 +159,7 @@ StrategySpec MakeStrategyFactory(const data::CrossDomainDataset& dataset,
     auto tree = core::BuildFlatTree(artifacts.mf.user_embeddings());
     spec.factory = [&dataset, &artifacts, tree](std::uint64_t seed) {
       return std::make_unique<core::CopyAttack>(
-          &dataset, tree.get(), &artifacts.mf.user_embeddings(),
+          &dataset, tree, &artifacts.mf.user_embeddings(),
           &artifacts.mf.item_embeddings(), core::CopyAttackConfig{}, seed);
     };
   } else if (method == "CopyAttack" || method == "CopyAttack-Masking" ||

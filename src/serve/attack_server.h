@@ -41,8 +41,8 @@ const std::vector<std::string>& RegisteredMethods();
 /// are captured by reference and must outlive the returned factory. The
 /// surrogate-based methods train the attacker's local model here, once,
 /// from a fixed seed; every per-target strategy shares it read-only.
-/// "PolicyNetwork" builds its one-level tree here, once; its strategies
-/// borrow it from the factory, so keep the factory alive while they run.
+/// "PolicyNetwork" builds its one-level tree here, once; the factory and
+/// each of its strategies share it, so a strategy may outlive the factory.
 /// On an unknown name the returned spec has a null factory and `error`
 /// lists the registered methods.
 StrategySpec MakeStrategyFactory(const data::CrossDomainDataset& dataset,

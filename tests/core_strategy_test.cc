@@ -234,8 +234,7 @@ TEST(CopyAttackTest, LearningImprovesPretendReward) {
 }
 
 /// The "PolicyNetwork" baseline as every campaign path builds it. Its
-/// strategies borrow the factory's one-level tree, so callers keep the
-/// factory alive while a strategy runs.
+/// strategies share the factory's one-level tree.
 StrategyFactory PolicyNetworkFactory() {
   const auto& tw = SharedTinyWorld();
   serve::StrategySpec spec = serve::MakeStrategyFactory(
@@ -265,6 +264,22 @@ TEST(FlatPolicyTest, EpisodeRunsAndRespectsHolders) {
        u < polluted.num_users(); ++u) {
     EXPECT_TRUE(polluted.HasInteraction(u, tw.cold_target));
   }
+}
+
+TEST(FlatPolicyTest, StrategyOutlivesItsFactory) {
+  // The temporary factory, and its handle on the tree, is gone before the
+  // strategy runs; the strategy's own share keeps the tree alive.
+  const auto& tw = SharedTinyWorld();
+  rec::PinSageLite model = tw.model;
+  AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+                        SmallEnvConfig());
+  const std::unique_ptr<AttackStrategy> attack = PolicyNetworkFactory()(1);
+  EXPECT_EQ(attack->name(), "PolicyNetwork");
+  attack->BeginTargetItem(tw.cold_target);
+  env.Reset(tw.cold_target);
+  util::Rng rng(testhelpers::TestSeed(3));
+  EXPECT_GE(attack->RunEpisode(env, rng), 0.0);
+  EXPECT_GT(env.black_box().injected_profiles(), 0U);
 }
 
 }  // namespace

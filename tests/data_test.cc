@@ -195,6 +195,135 @@ TEST(DatasetDeathTest, OutOfRangeItemAborts) {
   EXPECT_DEATH(d.AddUser({7}), "CHECK failed");
 }
 
+TEST(DatasetDeathTest, DuplicateItemPastTheFirstWordAborts) {
+  Dataset d(130);
+  d.AddUser({129});
+  EXPECT_DEATH(d.AddUser({64, 3, 64}), "duplicate item");
+  EXPECT_DEATH(d.AppendInteraction(0, 129), "already interacted");
+}
+
+// Membership is a bitset of ⌈num_items/64⌉ words per user; 130 items make
+// the third word partial.
+TEST(DatasetMembershipTest, WordBoundariesAndPartialLastWord) {
+  Dataset d(130);
+  d.AddUser({63, 64, 127, 129});
+  d.AddUser({0, 128});
+  for (ItemId item = 0; item < 130; ++item) {
+    const bool first = item == 63 || item == 64 || item == 127 || item == 129;
+    EXPECT_EQ(d.HasInteraction(0, item), first) << "item " << item;
+    EXPECT_EQ(d.HasInteraction(1, item), item == 0 || item == 128)
+        << "item " << item;
+  }
+}
+
+TEST(DatasetMembershipTest, OutOfRangeItemIsNotAnInteraction) {
+  Dataset d(130);
+  d.AddUser({129});
+  EXPECT_FALSE(d.HasInteraction(0, 130));
+  EXPECT_FALSE(d.HasInteraction(0, 192));
+  EXPECT_FALSE(d.HasInteraction(0, kNoItem));
+}
+
+TEST(DatasetDeathTest, HasInteractionOfUnknownUserAborts) {
+  Dataset d(130);
+  d.AddUser({1});
+  EXPECT_DEATH(d.HasInteraction(1, 1), "CHECK failed");
+}
+
+TEST(DatasetMembershipTest, AppendInteractionSetsOnlyItsBit) {
+  Dataset d(130);
+  d.AddUser({5});
+  d.AddUser({6});
+  d.AppendInteraction(0, 127);
+  EXPECT_TRUE(d.HasInteraction(0, 127));
+  EXPECT_TRUE(d.HasInteraction(0, 5));
+  EXPECT_FALSE(d.HasInteraction(0, 126));
+  EXPECT_FALSE(d.HasInteraction(1, 127));
+}
+
+TEST(DatasetMembershipTest, RollbackLeavesNoStaleBits) {
+  Dataset d(130);
+  d.AddUser({1, 65});
+  const DatasetCheckpoint checkpoint = d.Checkpoint();
+  d.AddUser({2, 66, 129});
+  d.RollbackTo(checkpoint);
+  // The re-added user takes the dropped user's id and row.
+  const UserId user = d.AddUser({3, 128});
+  ASSERT_EQ(user, 1U);
+  for (ItemId item = 0; item < 130; ++item) {
+    EXPECT_EQ(d.HasInteraction(user, item), item == 3 || item == 128)
+        << "item " << item;
+  }
+  // The dropped profile's items are free again, not duplicates.
+  d.RollbackTo(checkpoint);
+  d.AddUser({2, 66, 129});
+  EXPECT_TRUE(d.HasInteraction(1, 66));
+  EXPECT_TRUE(d.HasInteraction(0, 65));
+}
+
+TEST(DatasetMembershipTest, CopyHasItsOwnMembership) {
+  Dataset d(130);
+  d.AddUser({1});
+  Dataset copy = d;
+  copy.AppendInteraction(0, 100);
+  copy.AddUser({2});
+  EXPECT_TRUE(copy.HasInteraction(0, 100));
+  EXPECT_FALSE(d.HasInteraction(0, 100));
+  EXPECT_EQ(d.num_users(), 1U);
+
+  d.AppendInteraction(0, 70);
+  EXPECT_FALSE(copy.HasInteraction(0, 70));
+}
+
+TEST(DatasetMembershipTest, MatchesProfilesThroughCheckpointRounds) {
+  // Property: on the Tiny world, HasInteraction answers exactly what a
+  // search of the user's profile answers, for every (user, item) pair,
+  // as users are planted, checkpointed and rolled back.
+  const auto world = GenerateSyntheticWorld(SyntheticConfig::Tiny());
+  Dataset d = world.dataset.source;
+  const auto expect_matches_profiles = [&d](int round) {
+    for (UserId u = 0; u < d.num_users(); ++u) {
+      const std::set<ItemId> items(d.UserProfile(u).begin(),
+                                   d.UserProfile(u).end());
+      for (ItemId i = 0; i <= d.num_items(); ++i) {
+        ASSERT_EQ(d.HasInteraction(u, i), items.count(i) == 1)
+            << "round " << round << " user " << u << " item " << i;
+      }
+    }
+  };
+  expect_matches_profiles(-1);
+
+  util::Rng rng(testhelpers::TestSeed(24));
+  std::vector<ItemId> universe(d.num_items());
+  for (ItemId i = 0; i < universe.size(); ++i) universe[i] = i;
+  const auto add_random_users = [&](std::size_t count) {
+    for (std::size_t n = 0; n < count; ++n) {
+      // A partial Fisher-Yates shuffle draws distinct items.
+      const std::size_t length = 1 + rng.UniformUint64(12);
+      for (std::size_t k = 0; k < length; ++k) {
+        const std::size_t j = k + rng.UniformUint64(universe.size() - k);
+        std::swap(universe[k], universe[j]);
+      }
+      d.AddUser(Profile(universe.begin(), universe.begin() + length));
+    }
+  };
+
+  const DatasetCheckpoint base = d.Checkpoint();
+  for (int round = 0; round < 4; ++round) {
+    add_random_users(15);
+    const DatasetCheckpoint episode = d.Checkpoint();
+    expect_matches_profiles(round);
+    add_random_users(10);
+    expect_matches_profiles(round);
+    d.RollbackTo(episode);
+    expect_matches_profiles(round);
+    add_random_users(5);
+    expect_matches_profiles(round);
+    d.RollbackTo(base);
+    expect_matches_profiles(round);
+  }
+}
+
 TEST(CrossDomainTest, OverlapBookkeeping) {
   CrossDomainDataset cd("test", 6);
   cd.overlap[1] = true;

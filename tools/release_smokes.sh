@@ -6,7 +6,9 @@
 #   2c. the tiny arms-race frontier schema check, then the deterministic
 #       recipes regenerated and compared exactly (--tol=0) with their
 #       committed CSVs
-#   2d. every program under examples/ runs to exit 0
+#   2d. every program under examples/ runs to exit 0, and the CSV that
+#       promotion_campaign writes matches the committed sample byte for
+#       byte
 #
 # Usage: tools/release_smokes.sh   (needs build/ from the release preset)
 # Reports land under build/reports/.
@@ -86,7 +88,8 @@ echo "recipe smoke OK (9/9 frontier cells; 4 recipes reproduce exactly)"
 # 2d. Example smoke: the example programs are the library's documented
 # entry points (quickstart drives AttackEnvironment directly), so each
 # must run to exit 0. They run from a scratch directory because
-# promotion_campaign writes its CSV to the working directory.
+# promotion_campaign writes its CSV to the working directory; that CSV is
+# deterministic and must match examples/promotion_campaign.csv exactly.
 step "examples smoke"
 examples_tmp="$(mktemp -d)"
 for example in quickstart promotion_campaign profile_realism \
@@ -97,5 +100,11 @@ for example in quickstart promotion_campaign profile_realism \
     exit 1
   fi
 done
+if ! cmp "${examples_tmp}/promotion_campaign.csv" \
+     examples/promotion_campaign.csv; then
+  echo "check_all: examples smoke FAILED: promotion_campaign.csv differs" \
+    "from examples/promotion_campaign.csv" >&2
+  exit 1
+fi
 rm -rf "${examples_tmp}"
-echo "examples smoke OK (5/5 exit 0)"
+echo "examples smoke OK (5/5 exit 0; promotion_campaign.csv matches)"
