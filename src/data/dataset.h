@@ -56,9 +56,10 @@ class Dataset {
   explicit Dataset(std::size_t num_items);
 
   /// Appends a new user with the given ordered profile and returns its id.
-  /// Duplicate items within a profile are allowed by the representation but
-  /// rejected here (a user interacts with a movie once in the filtered
-  /// rating-5 data the paper uses).
+  /// Every item must lie in the universe and appear once: a duplicate is
+  /// fatal (a user interacts with a movie once in the filtered rating-5
+  /// data the paper uses), caught by its bit already being set. Cost:
+  /// O(profile) plus one bitset row, amortized.
   UserId AddUser(Profile profile);
 
   /// Appends one interaction to an existing user's profile. Only for
@@ -110,8 +111,10 @@ class Dataset {
   /// Reverts the dataset to the state captured by `checkpoint`: users
   /// added since are removed, the item profiles they touched are
   /// truncated and the membership bitset is cut back to the checkpointed
-  /// users' rows. Cost is O(appended interactions), not O(dataset) — this
-  /// replaces the per-episode deep copy in the attack environment.
+  /// users' rows. Cost: one truncation per interaction appended since the
+  /// checkpoint, plus freeing the removed users' profiles; cutting the
+  /// bitset is O(1). Never O(dataset) — this replaces the per-episode
+  /// deep copy in the attack environment.
   /// `checkpoint` must originate from this dataset (or a copy sharing its
   /// history) and still describe a prefix of it.
   void RollbackTo(const DatasetCheckpoint& checkpoint);
@@ -128,8 +131,8 @@ class Dataset {
   /// user order: bit `item % 64` of word `item / 64` of a user's row is
   /// set iff the user interacted with `item`. It costs
   /// users × ⌈items/64⌉ × 8 bytes (2.9 MB at 20,000 × 1,100). Rollback
-  /// truncates it and keeps its capacity, so re-planting users allocates
-  /// nothing.
+  /// truncates it and keeps its capacity, so rows added again after a
+  /// rollback allocate nothing.
   std::vector<std::uint64_t> membership_;
   std::vector<std::vector<UserId>> item_profiles_;
   /// Set by the first `Checkpoint()`; `AppendInteraction` is fatal after.
