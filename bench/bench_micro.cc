@@ -1,7 +1,7 @@
 // Google-benchmark microbenchmarks for the substrate hot paths: balanced
-// tree construction, masked tree-walk decisions, BPR training epochs,
-// black-box query scoring (per score and per query-round row), and top-k
-// selection (allocating and per-row forms).
+// tree construction, masked tree-walk decisions, the BPR draw producer
+// and BPR training epochs, black-box query scoring (per score and per
+// query-round row), and top-k selection (allocating and per-row forms).
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +14,7 @@
 #include "data/target_items.h"
 #include "math/top_k.h"
 #include "math/vector_ops.h"
+#include "rec/bpr_draws.h"
 #include "rec/matrix_factorization.h"
 #include "rec/pinsage_lite.h"
 #include "util/rng.h"
@@ -84,23 +85,51 @@ void BM_TreeDecision(benchmark::State& state) {
 }
 BENCHMARK(BM_TreeDecision);
 
+// The BPR epochs run on the LargeCross world, where a source-domain epoch
+// is about a million steps, so the time per step is the draw/update
+// pipeline's and not the per-epoch producer thread start. MF trains on
+// the source domain (as source-MF pre-training does), PinSage on the
+// target domain's training split. `BM_BprDraws` times the producer alone
+// (the consumer discards each block). An epoch runs on two threads, so
+// these report wall time: the calling thread's CPU time leaves out the
+// producer's.
+const data::SyntheticWorld& LargeWorld() {
+  static const data::SyntheticWorld* const world =
+      new data::SyntheticWorld(data::GenerateSyntheticWorld(
+          data::SyntheticConfig::LargeCross()));
+  return *world;
+}
+
+void BM_BprDraws(benchmark::State& state) {
+  const data::Dataset& train = LargeWorld().dataset.source;
+  util::Rng rng(41);
+  for (auto _ : state) {
+    rec::ForEachBprBlock(train, rng,
+                         [](const rec::BprTriple* triples, std::size_t n) {
+                           benchmark::DoNotOptimize(triples);
+                           benchmark::DoNotOptimize(n);
+                         });
+  }
+  state.SetItemsProcessed(state.iterations() * train.num_interactions());
+}
+BENCHMARK(BM_BprDraws)->Unit(benchmark::kMillisecond)->UseRealTime();
+
 void BM_MfTrainEpoch(benchmark::State& state) {
-  util::Rng split_rng(37);
-  const auto split = data::SplitDataset(World().dataset.target, split_rng);
+  const data::Dataset& train = LargeWorld().dataset.source;
   rec::MatrixFactorization mf;
   util::Rng rng(41);
-  mf.InitTraining(split.train, rng);
+  mf.InitTraining(train, rng);
   for (auto _ : state) {
-    mf.TrainEpoch(split.train, rng);
+    mf.TrainEpoch(train, rng);
   }
-  state.SetItemsProcessed(state.iterations() *
-                          split.train.num_interactions());
+  state.SetItemsProcessed(state.iterations() * train.num_interactions());
 }
-BENCHMARK(BM_MfTrainEpoch);
+BENCHMARK(BM_MfTrainEpoch)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_PinSageTrainEpoch(benchmark::State& state) {
   util::Rng split_rng(37);
-  const auto split = data::SplitDataset(World().dataset.target, split_rng);
+  const auto split =
+      data::SplitDataset(LargeWorld().dataset.target, split_rng);
   rec::PinSageLite model;
   util::Rng rng(41);
   model.InitTraining(split.train, rng);
@@ -110,7 +139,7 @@ void BM_PinSageTrainEpoch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() *
                           split.train.num_interactions());
 }
-BENCHMARK(BM_PinSageTrainEpoch);
+BENCHMARK(BM_PinSageTrainEpoch)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_PinSageScore(benchmark::State& state) {
   util::Rng split_rng(37);

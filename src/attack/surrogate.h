@@ -39,7 +39,10 @@ struct SurrogateConfig {
 class TargetSurrogate {
  public:
   /// Trains the surrogate on `observable` (the attacker's scrape of the
-  /// target domain).
+  /// target domain): `config.epochs` MF `TrainEpoch`s, each of which runs
+  /// its BPR draws on a producer thread of its own (rec/bpr_draws.h), so
+  /// constructing one from a pool worker starts one extra thread at a
+  /// time. The model is bit-identical to a sequential fit.
   TargetSurrogate(const data::Dataset& observable,
                   const SurrogateConfig& config);
 

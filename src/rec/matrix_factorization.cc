@@ -3,6 +3,7 @@
 #include "math/vector_ops.h"
 #include "nn/activations.h"
 #include "obs/obs.h"
+#include "rec/bpr_draws.h"
 #include "util/check.h"
 
 namespace copyattack::rec {
@@ -33,30 +34,10 @@ void MatrixFactorization::TrainEpoch(const data::Dataset& train,
   const float lr = config_.learning_rate;
   const float reg = config_.regularization;
 
-  // One BPR step per training interaction, in random user order.
-  const std::size_t steps = train.num_interactions();
-  for (std::size_t s = 0; s < steps; ++s) {
-    const data::UserId u = static_cast<data::UserId>(
-        rng.UniformUint64(train.num_users()));
-    const data::Profile& profile = train.UserProfile(u);
-    if (profile.empty()) continue;
-    const data::ItemId pos =
-        profile[rng.UniformUint64(profile.size())];
-    // Rejection-sample a negative item the user has not interacted with.
-    data::ItemId neg = pos;
-    for (std::size_t attempt = 0; attempt < 32; ++attempt) {
-      const data::ItemId candidate = static_cast<data::ItemId>(
-          rng.UniformUint64(train.num_items()));
-      if (!train.HasInteraction(u, candidate)) {
-        neg = candidate;
-        break;
-      }
-    }
-    if (neg == pos) continue;
-
-    float* pu = users_.Row(u);
-    float* qi = items_.Row(pos);
-    float* qj = items_.Row(neg);
+  ForEachBprTriple(train, rng, [&](const BprTriple& triple) {
+    float* pu = users_.Row(triple.user);
+    float* qi = items_.Row(triple.pos);
+    float* qj = items_.Row(triple.neg);
     const float x = math::Dot(pu, qi, dim) - math::Dot(pu, qj, dim);
     const float sigma = nn::Sigmoid(-x);  // dLoss/dx of -log sigmoid(x)
     for (std::size_t d = 0; d < dim; ++d) {
@@ -67,7 +48,7 @@ void MatrixFactorization::TrainEpoch(const data::Dataset& train,
       qi[d] += lr * (sigma * pu_d - reg * qi_d);
       qj[d] += lr * (-sigma * pu_d - reg * qj_d);
     }
-  }
+  });
 }
 
 void MatrixFactorization::BeginServing(const data::Dataset& current) {

@@ -35,6 +35,11 @@ class MatrixFactorization final : public Recommender {
   explicit MatrixFactorization(const MfConfig& config = MfConfig());
 
   void InitTraining(const data::Dataset& train, util::Rng& rng) override;
+  /// One BPR step per training interaction. The (user, positive,
+  /// negative) draws run on a producer thread started for this call
+  /// (`ForEachBprTriple`, rec/bpr_draws.h), which owns `rng` until it is
+  /// joined; this thread applies the SGD updates in draw order, so the
+  /// embeddings and the final `rng` state equal a sequential loop's.
   void TrainEpoch(const data::Dataset& train, util::Rng& rng) override;
   void BeginServing(const data::Dataset& current) override;
   void ObserveNewUser(const data::Dataset& current,

@@ -5,6 +5,7 @@
 #include "math/vector_ops.h"
 #include "nn/activations.h"
 #include "obs/obs.h"
+#include "rec/bpr_draws.h"
 #include "util/check.h"
 
 namespace copyattack::rec {
@@ -46,39 +47,22 @@ void PinSageLite::TrainEpoch(const data::Dataset& train, util::Rng& rng) {
   const float reg = config_.regularization;
 
   std::vector<float> user_rep(dim);
-  const std::size_t steps = train.num_interactions();
-  for (std::size_t s = 0; s < steps; ++s) {
-    const data::UserId u = static_cast<data::UserId>(
-        rng.UniformUint64(train.num_users()));
-    const data::Profile& profile = train.UserProfile(u);
-    if (profile.empty()) continue;
-    const data::ItemId pos = profile[rng.UniformUint64(profile.size())];
-    data::ItemId neg = pos;
-    for (std::size_t attempt = 0; attempt < 32; ++attempt) {
-      const data::ItemId candidate = static_cast<data::ItemId>(
-          rng.UniformUint64(train.num_items()));
-      if (!train.HasInteraction(u, candidate)) {
-        neg = candidate;
-        break;
-      }
-    }
-    if (neg == pos) continue;
-
+  ForEachBprTriple(train, rng, [&](const BprTriple& triple) {
     // User representation: profile-mean of item embeddings (the positive
     // item is excluded so the model cannot trivially memorize it).
     for (std::size_t d = 0; d < dim; ++d) user_rep[d] = 0.0f;
     std::size_t contributors = 0;
-    for (const data::ItemId item : profile) {
-      if (item == pos) continue;
+    for (const data::ItemId item : train.UserProfile(triple.user)) {
+      if (item == triple.pos) continue;
       math::Axpy(1.0f, items_.Row(item), user_rep.data(), dim);
       ++contributors;
     }
-    if (contributors == 0) continue;
+    if (contributors == 0) return;
     const float inv = 1.0f / static_cast<float>(contributors);
     for (std::size_t d = 0; d < dim; ++d) user_rep[d] *= inv;
 
-    float* qi = items_.Row(pos);
-    float* qj = items_.Row(neg);
+    float* qi = items_.Row(triple.pos);
+    float* qj = items_.Row(triple.neg);
     const float x = math::Dot(user_rep.data(), qi, dim) -
                     math::Dot(user_rep.data(), qj, dim);
     const float sigma = nn::Sigmoid(-x);
@@ -87,7 +71,7 @@ void PinSageLite::TrainEpoch(const data::Dataset& train, util::Rng& rng) {
       qi[d] += lr * (sigma * xu_d - reg * qi[d]);
       qj[d] += lr * (-sigma * xu_d - reg * qj[d]);
     }
-  }
+  });
 }
 
 void PinSageLite::ComputeRawUserAggregate(const data::Dataset& current,

@@ -60,6 +60,12 @@ class PinSageLite final : public Recommender {
   explicit PinSageLite(const PinSageConfig& config = PinSageConfig());
 
   void InitTraining(const data::Dataset& train, util::Rng& rng) override;
+  /// One BPR step per training interaction on the item embeddings q, the
+  /// user side being the profile mean without the positive item. The
+  /// draws run on a producer thread started for this call
+  /// (`ForEachBprTriple`, rec/bpr_draws.h), which owns `rng` until it is
+  /// joined; this thread applies the updates in draw order, so the
+  /// embeddings and the final `rng` state equal a sequential loop's.
   void TrainEpoch(const data::Dataset& train, util::Rng& rng) override;
   void BeginServing(const data::Dataset& current) override;
   void ObserveNewUser(const data::Dataset& current,

@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -20,6 +21,8 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "rec/black_box.h"
+#include "rec/bpr_draws.h"
+#include "rec/matrix_factorization.h"
 #include "serve/job_queue.h"
 #include "test_helpers.h"
 #include "test_seed.h"
@@ -308,17 +311,7 @@ TEST(JobQueueStressTest, ManyProducersManyConsumersLoseNothing) {
 // --- Dataset checkpoint/rollback under concurrency -------------------------
 
 data::Dataset BuildSmallDataset(std::uint64_t seed) {
-  util::Rng rng(seed);
-  data::Dataset dataset(64);
-  for (int u = 0; u < 40; ++u) {
-    data::Profile profile;
-    const auto picks = rng.SampleWithoutReplacement(64, 6);
-    for (const std::size_t item : picks) {
-      profile.push_back(static_cast<data::ItemId>(item));
-    }
-    dataset.AddUser(std::move(profile));
-  }
-  return dataset;
+  return testhelpers::RandomProfiles(40, 64, 6, seed);
 }
 
 // The supported concurrent pattern: each thread owns its dataset and runs
@@ -431,6 +424,49 @@ TEST(BlackBoxStressTest, ConcurrentQueriesCountExactly) {
   }
   for (auto& thread : threads) thread.join();
   EXPECT_EQ(bb.query_count(), kThreads * kQueriesPerThread);
+}
+
+// Every MatrixFactorization epoch runs its BPR draws on a producer thread
+// that hands triples to the fitting thread through a ring. Four threads
+// each fit their own model over one shared const dataset larger than the
+// ring; TSan checks each ring's hand-off, and every fit must equal the
+// same fit run alone.
+TEST(BprDrawsStressTest, ConcurrentMfFitsMatchSequentialFits) {
+  const data::Dataset train =
+      testhelpers::RandomProfiles(300, 200, 40, TestSeed(113));
+  ASSERT_GT(train.num_interactions(),
+            rec::kBprRingBlocks * rec::kBprBlockTriples);
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kEpochs = 2;
+  const auto fit = [&train](std::size_t t) {
+    rec::MatrixFactorization mf;
+    util::Rng rng(util::DeriveStreamSeed(TestSeed(127), t));
+    mf.Fit(train, kEpochs, rng);
+    return mf;
+  };
+
+  std::vector<rec::MatrixFactorization> sequential;
+  for (std::size_t t = 0; t < kThreads; ++t) sequential.push_back(fit(t));
+  std::vector<rec::MatrixFactorization> concurrent(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&concurrent, &fit, t] { concurrent[t] = fit(t); });
+  }
+  for (auto& thread : threads) thread.join();
+
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (const auto member : {&rec::MatrixFactorization::user_embeddings,
+                              &rec::MatrixFactorization::item_embeddings}) {
+      const math::Matrix& expected = (sequential[t].*member)();
+      const math::Matrix& actual = (concurrent[t].*member)();
+      ASSERT_EQ(actual.size(), expected.size());
+      EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                            expected.size() * sizeof(float)),
+                0)
+          << "fit " << t;
+    }
+  }
 }
 
 TEST(DatasetStressTest, RollbackWithoutCheckpointIsFatal) {

@@ -2,17 +2,23 @@
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "test_helpers.h"
 #include "test_seed.h"
 
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "math/top_k.h"
+#include "math/vector_ops.h"
+#include "nn/activations.h"
 #include "rec/black_box.h"
+#include "rec/bpr_draws.h"
 #include "rec/evaluator.h"
 #include "rec/matrix_factorization.h"
 #include "rec/pinsage_lite.h"
@@ -690,6 +696,297 @@ TEST_F(RecFixture, ItemKnnScoreReflectsProfileOverlap) {
   for (data::ItemId i = 0; i < 10; ++i) {
     EXPECT_GE(knn.Score(0, i), 0.0f);
   }
+}
+
+}  // namespace
+}  // namespace copyattack::rec
+
+// --- BPR draws on a producer thread ----------------------------------------
+
+namespace copyattack::rec {
+namespace {
+
+using testhelpers::TestSeed;
+
+/// The sequential BPR draw loop both trainers ran before `ForEachBprTriple`
+/// moved it onto a producer thread: the reference stream. Counts the two
+/// kinds of skipped step so a test can show it exercised both.
+struct ReferenceDraws {
+  std::vector<BprTriple> triples;
+  std::size_t empty_skips = 0;
+  std::size_t rejection_skips = 0;
+};
+
+ReferenceDraws SequentialDraws(const data::Dataset& train, util::Rng& rng) {
+  ReferenceDraws draws;
+  const std::size_t steps = train.num_interactions();
+  for (std::size_t s = 0; s < steps; ++s) {
+    const data::UserId u = static_cast<data::UserId>(
+        rng.UniformUint64(train.num_users()));
+    const data::Profile& profile = train.UserProfile(u);
+    if (profile.empty()) {
+      ++draws.empty_skips;
+      continue;
+    }
+    const data::ItemId pos = profile[rng.UniformUint64(profile.size())];
+    data::ItemId neg = pos;
+    for (std::size_t attempt = 0; attempt < 32; ++attempt) {
+      const data::ItemId candidate = static_cast<data::ItemId>(
+          rng.UniformUint64(train.num_items()));
+      if (!train.HasInteraction(u, candidate)) {
+        neg = candidate;
+        break;
+      }
+    }
+    if (neg == pos) {
+      ++draws.rejection_skips;
+      continue;
+    }
+    draws.triples.push_back({u, pos, neg});
+  }
+  return draws;
+}
+
+std::vector<BprTriple> HelperDraws(const data::Dataset& train,
+                                   util::Rng& rng) {
+  std::vector<BprTriple> triples;
+  ForEachBprTriple(train, rng,
+                   [&triples](const BprTriple& t) { triples.push_back(t); });
+  return triples;
+}
+
+void ExpectSameRngState(const util::Rng& actual, const util::Rng& expected) {
+  const util::RngState a = actual.SaveState();
+  const util::RngState b = expected.SaveState();
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(a.words[i], b.words[i]);
+  EXPECT_EQ(a.has_cached_normal, b.has_cached_normal);
+  EXPECT_EQ(a.cached_normal, b.cached_normal);
+}
+
+void ExpectSameTriples(const std::vector<BprTriple>& actual,
+                       const std::vector<BprTriple>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t i = 0; i < actual.size(); ++i) {
+    ASSERT_TRUE(actual[i].user == expected[i].user &&
+                actual[i].pos == expected[i].pos &&
+                actual[i].neg == expected[i].neg)
+        << "triples diverge at " << i;
+  }
+}
+
+/// Runs the helper and the reference loop from one seed and returns the
+/// reference, after checking that the streams and final states agree.
+ReferenceDraws ExpectSameStream(const data::Dataset& train,
+                                std::uint64_t seed) {
+  util::Rng reference_rng(seed);
+  ReferenceDraws reference = SequentialDraws(train, reference_rng);
+  util::Rng rng(seed);
+  ExpectSameTriples(HelperDraws(train, rng), reference.triples);
+  ExpectSameRngState(rng, reference_rng);
+  return reference;
+}
+
+constexpr std::size_t kBprWorldItems = 200;
+
+/// About 30,000 interactions, several ring-fulls of triples, plus a user
+/// with an empty profile and a user who holds every item (whose steps
+/// fail all 32 rejection draws).
+data::Dataset BprWorld() {
+  data::Dataset dataset =
+      testhelpers::RandomProfiles(600, kBprWorldItems, 50, TestSeed(91));
+  dataset.AddUser({});
+  data::Profile every_item(kBprWorldItems);
+  for (std::size_t i = 0; i < kBprWorldItems; ++i) {
+    every_item[i] = static_cast<data::ItemId>(i);
+  }
+  dataset.AddUser(std::move(every_item));
+  return dataset;
+}
+
+TEST(BprDrawsTest, MatchesSequentialLoopOverSeveralRingFulls) {
+  const data::Dataset train = BprWorld();
+  const ReferenceDraws reference = ExpectSameStream(train, TestSeed(93));
+  EXPECT_GT(reference.triples.size(), 3 * kBprRingBlocks * kBprBlockTriples);
+  EXPECT_GT(reference.empty_skips, 0U);
+  EXPECT_GT(reference.rejection_skips, 0U);
+}
+
+TEST(BprDrawsTest, KeptCountAnExactMultipleOfTheBlock) {
+  // One item of 1,024 per user: every step keeps its triple (32 failed
+  // rejection draws have probability 1024^-32), so the last full block is
+  // followed by an empty final one.
+  const std::size_t users = (kBprRingBlocks + 2) * kBprBlockTriples;
+  const data::Dataset train =
+      testhelpers::RandomProfiles(users, 1024, 1, TestSeed(97));
+  const ReferenceDraws reference = ExpectSameStream(train, TestSeed(99));
+  ASSERT_EQ(reference.triples.size(), users);
+  EXPECT_EQ(reference.triples.size() % kBprBlockTriples, 0U);
+}
+
+TEST(BprDrawsTest, NoInteractionsDrawsNothing) {
+  data::Dataset no_users(10);
+  data::Dataset empty_users(10);
+  for (int u = 0; u < 3; ++u) empty_users.AddUser({});
+  for (const data::Dataset* train : {&no_users, &empty_users}) {
+    const ReferenceDraws reference =
+        ExpectSameStream(*train, TestSeed(101));
+    EXPECT_TRUE(reference.triples.empty());
+    util::Rng rng(TestSeed(101));
+    HelperDraws(*train, rng);
+    ExpectSameRngState(rng, util::Rng(TestSeed(101)));
+  }
+}
+
+TEST(BprDrawsTest, ThrowingApplyStillFinishesTheEpoch) {
+  const data::Dataset train = BprWorld();
+  util::Rng reference_rng(TestSeed(103));
+  const ReferenceDraws reference = SequentialDraws(train, reference_rng);
+  const std::size_t stop = kBprBlockTriples + kBprBlockTriples / 2;
+  std::vector<BprTriple> applied;
+  util::Rng rng(TestSeed(103));
+  EXPECT_THROW(ForEachBprTriple(train, rng,
+                                [&applied, stop](const BprTriple& t) {
+                                  if (applied.size() == stop) {
+                                    throw std::runtime_error("stop");
+                                  }
+                                  applied.push_back(t);
+                                }),
+               std::runtime_error);
+  ExpectSameTriples(applied, std::vector<BprTriple>(
+                                 reference.triples.begin(),
+                                 reference.triples.begin() + stop));
+  ExpectSameRngState(rng, reference_rng);
+}
+
+TEST(BprDrawsTest, MfEpochsMatchSequentialTraining) {
+  const data::Dataset train = BprWorld();
+  const MfConfig config;
+  const std::size_t dim = config.embedding_dim;
+  MatrixFactorization mf(config);
+  util::Rng rng(TestSeed(105));
+  mf.InitTraining(train, rng);
+  for (int epoch = 0; epoch < 3; ++epoch) mf.TrainEpoch(train, rng);
+
+  // MatrixFactorization's InitTraining and its sequential TrainEpoch.
+  util::Rng ref_rng(TestSeed(105));
+  math::Matrix users(train.num_users(), dim);
+  math::Matrix items(train.num_items(), dim);
+  users.FillNormal(ref_rng, 0.0f, config.init_stddev);
+  items.FillNormal(ref_rng, 0.0f, config.init_stddev);
+  const float lr = config.learning_rate;
+  const float reg = config.regularization;
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    const std::size_t steps = train.num_interactions();
+    for (std::size_t s = 0; s < steps; ++s) {
+      const data::UserId u = static_cast<data::UserId>(
+          ref_rng.UniformUint64(train.num_users()));
+      const data::Profile& profile = train.UserProfile(u);
+      if (profile.empty()) continue;
+      const data::ItemId pos =
+          profile[ref_rng.UniformUint64(profile.size())];
+      data::ItemId neg = pos;
+      for (std::size_t attempt = 0; attempt < 32; ++attempt) {
+        const data::ItemId candidate = static_cast<data::ItemId>(
+            ref_rng.UniformUint64(train.num_items()));
+        if (!train.HasInteraction(u, candidate)) {
+          neg = candidate;
+          break;
+        }
+      }
+      if (neg == pos) continue;
+
+      float* pu = users.Row(u);
+      float* qi = items.Row(pos);
+      float* qj = items.Row(neg);
+      const float x = math::Dot(pu, qi, dim) - math::Dot(pu, qj, dim);
+      const float sigma = nn::Sigmoid(-x);
+      for (std::size_t d = 0; d < dim; ++d) {
+        const float pu_d = pu[d];
+        const float qi_d = qi[d];
+        const float qj_d = qj[d];
+        pu[d] += lr * (sigma * (qi_d - qj_d) - reg * pu_d);
+        qi[d] += lr * (sigma * pu_d - reg * qi_d);
+        qj[d] += lr * (-sigma * pu_d - reg * qj_d);
+      }
+    }
+  }
+
+  ASSERT_EQ(mf.user_embeddings().size(), users.size());
+  ASSERT_EQ(mf.item_embeddings().size(), items.size());
+  EXPECT_EQ(std::memcmp(mf.user_embeddings().data(), users.data(),
+                        users.size() * sizeof(float)),
+            0);
+  EXPECT_EQ(std::memcmp(mf.item_embeddings().data(), items.data(),
+                        items.size() * sizeof(float)),
+            0);
+  ExpectSameRngState(rng, ref_rng);
+}
+
+TEST(BprDrawsTest, PinSageEpochsMatchSequentialTraining) {
+  const data::Dataset train = BprWorld();
+  const PinSageConfig config;
+  const std::size_t dim = config.embedding_dim;
+  PinSageLite model(config);
+  util::Rng rng(TestSeed(107));
+  model.InitTraining(train, rng);
+  for (int epoch = 0; epoch < 3; ++epoch) model.TrainEpoch(train, rng);
+
+  // PinSageLite's InitTraining draws and its sequential TrainEpoch.
+  util::Rng ref_rng(TestSeed(107));
+  math::Matrix items(train.num_items(), dim);
+  items.FillNormal(ref_rng, 0.0f, config.init_stddev);
+  const float lr = config.learning_rate;
+  const float reg = config.regularization;
+  std::vector<float> user_rep(dim);
+  for (int epoch = 0; epoch < 3; ++epoch) {
+    const std::size_t steps = train.num_interactions();
+    for (std::size_t s = 0; s < steps; ++s) {
+      const data::UserId u = static_cast<data::UserId>(
+          ref_rng.UniformUint64(train.num_users()));
+      const data::Profile& profile = train.UserProfile(u);
+      if (profile.empty()) continue;
+      const data::ItemId pos =
+          profile[ref_rng.UniformUint64(profile.size())];
+      data::ItemId neg = pos;
+      for (std::size_t attempt = 0; attempt < 32; ++attempt) {
+        const data::ItemId candidate = static_cast<data::ItemId>(
+            ref_rng.UniformUint64(train.num_items()));
+        if (!train.HasInteraction(u, candidate)) {
+          neg = candidate;
+          break;
+        }
+      }
+      if (neg == pos) continue;
+
+      for (std::size_t d = 0; d < dim; ++d) user_rep[d] = 0.0f;
+      std::size_t contributors = 0;
+      for (const data::ItemId item : profile) {
+        if (item == pos) continue;
+        math::Axpy(1.0f, items.Row(item), user_rep.data(), dim);
+        ++contributors;
+      }
+      if (contributors == 0) continue;
+      const float inv = 1.0f / static_cast<float>(contributors);
+      for (std::size_t d = 0; d < dim; ++d) user_rep[d] *= inv;
+
+      float* qi = items.Row(pos);
+      float* qj = items.Row(neg);
+      const float x = math::Dot(user_rep.data(), qi, dim) -
+                      math::Dot(user_rep.data(), qj, dim);
+      const float sigma = nn::Sigmoid(-x);
+      for (std::size_t d = 0; d < dim; ++d) {
+        const float xu_d = user_rep[d];
+        qi[d] += lr * (sigma * xu_d - reg * qi[d]);
+        qj[d] += lr * (-sigma * xu_d - reg * qj[d]);
+      }
+    }
+  }
+
+  ASSERT_EQ(model.item_embeddings().size(), items.size());
+  EXPECT_EQ(std::memcmp(model.item_embeddings().data(), items.data(),
+                        items.size() * sizeof(float)),
+            0);
+  ExpectSameRngState(rng, ref_rng);
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 #ifndef COPYATTACK_TESTS_TEST_HELPERS_H_
 #define COPYATTACK_TESTS_TEST_HELPERS_H_
 
+#include <cstdint>
 #include <memory>
+#include <utility>
 
 #include "core/runner.h"
+#include "data/dataset.h"
 #include "data/split.h"
 #include "data/synthetic.h"
 #include "data/target_items.h"
@@ -66,6 +69,25 @@ struct TinyWorld {
 inline const TinyWorld& SharedTinyWorld() {
   static const TinyWorld* const world = new TinyWorld();
   return *world;
+}
+
+/// `num_users` users, each holding `profile_len` distinct items drawn
+/// uniformly from `num_items`, in draw order.
+inline data::Dataset RandomProfiles(std::size_t num_users,
+                                    std::size_t num_items,
+                                    std::size_t profile_len,
+                                    std::uint64_t seed) {
+  data::Dataset dataset(num_items);
+  util::Rng rng(seed);
+  for (std::size_t u = 0; u < num_users; ++u) {
+    data::Profile profile;
+    for (const std::size_t item :
+         rng.SampleWithoutReplacement(num_items, profile_len)) {
+      profile.push_back(static_cast<data::ItemId>(item));
+    }
+    dataset.AddUser(std::move(profile));
+  }
+  return dataset;
 }
 
 }  // namespace copyattack::testhelpers
