@@ -8,6 +8,7 @@
 #include "cluster/hierarchical_tree.h"
 #include "cluster/kmeans.h"
 #include "core/environment.h"
+#include "core/runner.h"
 #include "core/selection_policy.h"
 #include "data/split.h"
 #include "data/synthetic.h"
@@ -28,6 +29,19 @@ const data::SyntheticWorld& World() {
       new data::SyntheticWorld(
           data::GenerateSyntheticWorld(data::SyntheticConfig::Tiny()));
   return *world;
+}
+
+/// The scoring, injection and reset suites' target model on the Tiny
+/// world: split seed 37, then three epochs from seed 41 (`max_epochs =
+/// patience` trains exactly that many). Suites that mutate it copy it.
+const core::TargetModel& TinyTarget() {
+  static const core::TargetModel* const target =
+      new core::TargetModel(core::TrainTargetModel(
+          World().dataset.target,
+          {.split_seed = 37,
+           .train_seed = 41,
+           .train = {.max_epochs = 3, .patience = 3}}));
+  return *target;
 }
 
 math::Matrix RandomEmbeddings(std::size_t n, std::size_t dim,
@@ -142,17 +156,14 @@ void BM_PinSageTrainEpoch(benchmark::State& state) {
 BENCHMARK(BM_PinSageTrainEpoch)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_PinSageScore(benchmark::State& state) {
-  util::Rng split_rng(37);
-  const auto split = data::SplitDataset(World().dataset.target, split_rng);
-  rec::PinSageLite model;
-  util::Rng rng(41);
-  model.Fit(split.train, 3, rng);
+  const rec::PinSageLite& model = TinyTarget().model;
+  const data::Dataset& train = TinyTarget().split.train;
   data::UserId user = 0;
   data::ItemId item = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(model.Score(user, item));
-    user = (user + 1) % static_cast<data::UserId>(split.train.num_users());
-    item = (item + 7) % static_cast<data::ItemId>(split.train.num_items());
+    user = (user + 1) % static_cast<data::UserId>(train.num_users());
+    item = (item + 7) % static_cast<data::ItemId>(train.num_items());
   }
 }
 BENCHMARK(BM_PinSageScore);
@@ -161,13 +172,9 @@ BENCHMARK(BM_PinSageScore);
 // scored through the Recommender interface, as the oracle scores them.
 // `score_ns` is the time per candidate score.
 void BM_PinSageScoreRow(benchmark::State& state) {
-  util::Rng split_rng(37);
-  const auto split = data::SplitDataset(World().dataset.target, split_rng);
-  rec::PinSageLite model;
-  util::Rng rng(41);
-  model.Fit(split.train, 3, rng);
-  const rec::Recommender& recommender = model;
-  const std::size_t num_items = split.train.num_items();
+  const rec::Recommender& recommender = TinyTarget().model;
+  const data::Dataset& train = TinyTarget().split.train;
+  const std::size_t num_items = train.num_items();
   std::vector<data::ItemId> candidates(101);
   for (std::size_t i = 0; i < candidates.size(); ++i) {
     candidates[i] = static_cast<data::ItemId>((i * 7) % num_items);
@@ -178,7 +185,7 @@ void BM_PinSageScoreRow(benchmark::State& state) {
     recommender.ScoreCandidatesInto(user, candidates, row.data());
     benchmark::DoNotOptimize(row.data());
     benchmark::ClobberMemory();
-    user = (user + 1) % static_cast<data::UserId>(split.train.num_users());
+    user = (user + 1) % static_cast<data::UserId>(train.num_users());
   }
   state.counters["score_ns"] = benchmark::Counter(
       static_cast<double>(state.iterations() * candidates.size()) * 1e-9,
@@ -187,15 +194,10 @@ void BM_PinSageScoreRow(benchmark::State& state) {
 BENCHMARK(BM_PinSageScoreRow);
 
 void BM_PinSageObserveNewUser(benchmark::State& state) {
-  util::Rng split_rng(37);
-  const auto split = data::SplitDataset(World().dataset.target, split_rng);
-  rec::PinSageLite prototype;
-  util::Rng rng(41);
-  prototype.Fit(split.train, 3, rng);
   for (auto _ : state) {
     state.PauseTiming();
-    rec::PinSageLite model = prototype;
-    data::Dataset polluted = split.train;
+    rec::PinSageLite model = TinyTarget().model;
+    data::Dataset polluted = TinyTarget().split.train;
     const data::UserId user = polluted.AddUser({0, 1, 2, 3, 4});
     state.ResumeTiming();
     model.ObserveNewUser(polluted, user);
@@ -206,18 +208,15 @@ BENCHMARK(BM_PinSageObserveNewUser);
 void BM_EnvReset(benchmark::State& state) {
   // Steady-state episode Reset on a reused environment: after the first
   // (cold) reset every iteration takes the snapshot/rollback fast path.
-  util::Rng split_rng(37);
-  const auto split = data::SplitDataset(World().dataset.target, split_rng);
-  rec::PinSageLite model;
-  util::Rng rng(41);
-  model.Fit(split.train, 3, rng);
+  rec::PinSageLite model = TinyTarget().model;
   util::Rng target_rng(47);
   const auto targets =
       data::SampleColdTargetItems(World().dataset, 1, 10, target_rng);
   core::EnvConfig config;
   config.budget = 6;
   config.num_pretend_users = 10;
-  core::AttackEnvironment env(World().dataset, split.train, &model, config);
+  core::AttackEnvironment env(World().dataset, TinyTarget().split.train,
+                              &model, config);
   env.Reset(targets[0]);  // cold reset outside the timed loop
   const data::Profile injection = {0, 1, 2, 3, 4};
   for (auto _ : state) {
@@ -233,13 +232,9 @@ void BM_EnvResetLegacy(benchmark::State& state) {
   // The pre-rollback reset recipe (deep-copy the training data, re-add
   // pretend users, BeginServing) for before/after comparison with
   // BM_EnvReset.
-  util::Rng split_rng(37);
-  const auto split = data::SplitDataset(World().dataset.target, split_rng);
-  rec::PinSageLite model;
-  util::Rng rng(41);
-  model.Fit(split.train, 3, rng);
+  rec::PinSageLite model = TinyTarget().model;
   for (auto _ : state) {
-    data::Dataset polluted = split.train;
+    data::Dataset polluted = TinyTarget().split.train;
     for (std::size_t i = 0; i < 10; ++i) {
       polluted.AddUser({0, 1, 2, 3, 4});
     }
@@ -254,12 +249,8 @@ void BM_InjectUser(benchmark::State& state) {
   // episode. Amortized growth means the cost should stay flat across the
   // 0/32/256 columns.
   const std::size_t prior = static_cast<std::size_t>(state.range(0));
-  util::Rng split_rng(37);
-  const auto split = data::SplitDataset(World().dataset.target, split_rng);
-  rec::PinSageLite model;
-  util::Rng rng(41);
-  model.Fit(split.train, 3, rng);
-  data::Dataset polluted = split.train;
+  rec::PinSageLite model = TinyTarget().model;
+  data::Dataset polluted = TinyTarget().split.train;
   model.BeginServing(polluted);
   const auto checkpoint = polluted.Checkpoint();
   model.CheckpointServing();

@@ -20,7 +20,6 @@
 #include "core/crafting.h"
 #include "core/environment.h"
 #include "core/selection_policy.h"
-#include "data/split.h"
 #include "data/stats.h"
 #include "data/synthetic.h"
 #include "data/target_items.h"
@@ -31,7 +30,6 @@
 #include "obs/time.h"
 #include "rec/item_knn.h"
 #include "rec/matrix_factorization.h"
-#include "rec/pinsage_lite.h"
 #include "rec/trainer.h"
 #include "serve/attack_server.h"
 #include "util/check.h"
@@ -44,52 +42,29 @@ namespace {
 
 std::string F4(double value) { return util::FormatDouble(value, 4); }
 
-/// Everything a recipe needs for one dataset pair: the synthetic world,
-/// the target-domain split, the trained black-box target model, and the
-/// source-domain artifacts (MF embeddings + the balanced clustering tree).
-struct BenchWorld {
+/// Everything a recipe needs for one dataset pair: the set-up (the
+/// trained black-box target model and the source-domain artifacts) and
+/// the synthetic world it was prepared from.
+struct BenchWorld : core::World {
   data::SyntheticWorld world;
-  data::TrainValidTestSplit split;
-  rec::PinSageLite model;
-  rec::TrainReport train_report;
-  core::SourceArtifacts artifacts;
-
-  core::ModelFactory ModelFactory() const {
-    return [this] { return std::make_unique<rec::PinSageLite>(model); };
-  }
 };
 
-/// Generates the world, splits 80/10/10, trains the PinSage-style target
-/// model with early stopping on validation HR@10 (paper §5.1.3), and
-/// prepares the source artifacts with the given tree depth (paper: 3 for
-/// the small pair, 6 for the large pair).
+/// Generates the world and prepares it: the target model trained with
+/// early stopping on validation HR@10 (paper §5.1.3, at most 40 epochs)
+/// and the source artifacts with the given tree depth (paper: 3 for the
+/// small pair, 6 for the large pair).
 BenchWorld BuildBenchWorld(const data::SyntheticConfig& config,
                            std::size_t tree_depth) {
   CA_LOG(Info) << "generating world: " << config.name;
   data::SyntheticWorld world = data::GenerateSyntheticWorld(config);
-
-  util::Rng split_rng(config.seed ^ 0x51517ULL);
-  data::TrainValidTestSplit split =
-      data::SplitDataset(world.dataset.target, split_rng);
-
-  rec::PinSageLite model;
-  rec::TrainOptions train_options;
-  train_options.max_epochs = 40;
-  train_options.patience = 5;
-  util::Rng train_rng(config.seed ^ 0x7EA7ULL);
-  const rec::TrainReport report = rec::TrainWithEarlyStopping(
-      model, split, world.dataset.target, train_options, train_rng);
-  CA_LOG(Info) << "target model trained: " << report.epochs_run
-               << " epochs, test HR@10 = " << report.test_hr;
-
-  core::SourceArtifactOptions artifact_options;
-  artifact_options.tree_depth = tree_depth;
-  artifact_options.seed = config.seed ^ 0xA11CEULL;
-  core::SourceArtifacts artifacts =
-      core::PrepareSourceArtifacts(world.dataset, artifact_options);
-
-  return BenchWorld{std::move(world), std::move(split), std::move(model),
-                    report, std::move(artifacts)};
+  core::WorldOptions options;
+  options.target.split_seed = config.seed ^ 0x51517ULL;
+  options.target.train_seed = config.seed ^ 0x7EA7ULL;
+  options.target.train.max_epochs = 40;
+  options.source.tree_depth = tree_depth;
+  options.source.seed = config.seed ^ 0xA11CEULL;
+  core::World prepared = core::PrepareWorld(world.dataset, options);
+  return BenchWorld{std::move(prepared), std::move(world)};
 }
 
 /// The campaign settings of paper §5.1.3: budget 30, query every 3
@@ -135,11 +110,11 @@ core::CampaignResult RunMethod(const BenchWorld& bw, const std::string& method,
                                const std::vector<data::ItemId>& targets,
                                core::CampaignConfig campaign) {
   const serve::StrategySpec spec =
-      serve::MakeStrategyFactory(bw.world.dataset, bw.artifacts, method);
+      serve::MakeStrategyFactory(bw.world.dataset, bw.source, method);
   CA_CHECK(spec.factory) << spec.error;
   if (!spec.learns) campaign.episodes = 1;
-  return core::RunCampaign(bw.world.dataset, bw.split.train,
-                           bw.ModelFactory(), spec.factory, targets,
+  return core::RunCampaign(bw.world.dataset, bw.target.split.train,
+                           bw.target.Factory(), spec.factory, targets,
                            campaign);
 }
 
@@ -148,9 +123,9 @@ core::StrategyFactory CopyAttackWith(const BenchWorld& bw,
                                      core::CopyAttackConfig config) {
   return [&bw, config](std::uint64_t seed) {
     return std::make_unique<core::CopyAttack>(
-        &bw.world.dataset, &bw.artifacts.tree,
-        &bw.artifacts.mf.user_embeddings(),
-        &bw.artifacts.mf.item_embeddings(), config, seed);
+        &bw.world.dataset, &bw.source.tree,
+        &bw.source.mf.user_embeddings(),
+        &bw.source.mf.item_embeddings(), config, seed);
   };
 }
 
@@ -273,9 +248,9 @@ void Table1Datasets(RecipeRun& run) {
 void TargetQuality(RecipeRun& run) {
   for (const PaperPair& pair : PaperPairs()) {
     const BenchWorld bw = BuildBenchWorld(pair.config, pair.tree_depth);
-    run.Row({pair.config.name, std::to_string(bw.train_report.epochs_run),
-             F4(bw.train_report.best_valid_hr), F4(bw.train_report.test_hr),
-             F4(bw.train_report.test_ndcg)});
+    run.Row({pair.config.name, std::to_string(bw.target.report.epochs_run),
+             F4(bw.target.report.best_valid_hr), F4(bw.target.report.test_hr),
+             F4(bw.target.report.test_ndcg)});
   }
 }
 
@@ -290,8 +265,8 @@ void Table2Comparison(RecipeRun& run) {
     const auto targets = ColdTargets(bw, 50);
     const core::CampaignConfig base = DefaultCampaign(4242);
     run.Row({pair.config.name},
-            core::EvaluateWithoutAttack(bw.world.dataset, bw.split.train,
-                                        bw.ModelFactory(), targets, base));
+            core::EvaluateWithoutAttack(bw.world.dataset, bw.target.split.train,
+                                        bw.target.Factory(), targets, base));
     for (const char* method : kMethods) {
       run.Row({pair.config.name}, RunMethod(bw, method, targets, base));
     }
@@ -310,7 +285,7 @@ void Fig3TreeDepth(RecipeRun& run) {
       // depth, so the world is rebuilt per sweep point.
       const BenchWorld bw = BuildBenchWorld(sweep.config, depth);
       run.Row({sweep.config.name, std::to_string(depth),
-               std::to_string(bw.artifacts.tree.branching())},
+               std::to_string(bw.source.tree.branching())},
               RunMethod(bw, "CopyAttack", ColdTargets(bw, 30),
                         DefaultCampaign(4242)));
     }
@@ -429,8 +404,8 @@ void RewardShaping(RecipeRun& run) {
     config.reward_shaping = variant.shaping;
     config.selection.encoder = variant.encoder;
     run.Row({variant.name},
-            core::RunCampaign(bw.world.dataset, bw.split.train,
-                              bw.ModelFactory(), CopyAttackWith(bw, config),
+            core::RunCampaign(bw.world.dataset, bw.target.split.train,
+                              bw.target.Factory(), CopyAttackWith(bw, config),
                               targets, DefaultCampaign(4242)));
   }
 }
@@ -439,12 +414,12 @@ void TargetModels(RecipeRun& run) {
   const BenchWorld bw = BuildBenchWorld(data::SyntheticConfig::SmallCross(), 3);
   rec::MatrixFactorization mf_prototype;
   util::Rng mf_rng(31);
-  rec::TrainWithEarlyStopping(mf_prototype, bw.split,
+  rec::TrainWithEarlyStopping(mf_prototype, bw.target.split,
                               bw.world.dataset.target, rec::TrainOptions{},
                               mf_rng);
   rec::ItemKnn knn_prototype;
   util::Rng knn_rng(37);
-  knn_prototype.Fit(bw.split.train, 1, knn_rng);
+  knn_prototype.Fit(bw.target.split.train, 1, knn_rng);
   const auto targets = ColdTargets(bw, 25);
 
   const auto mf = [&] {
@@ -457,7 +432,7 @@ void TargetModels(RecipeRun& run) {
     const char* name;
     core::ModelFactory factory;
     bool refit;
-  } variants[] = {{"PinSage-inductive", bw.ModelFactory(), false},
+  } variants[] = {{"PinSage-inductive", bw.target.Factory(), false},
                   {"MF-frozen", mf, false},
                   {"MF-refit-on-query", mf, true},
                   {"ItemKNN-frozen", knn, false},
@@ -467,10 +442,10 @@ void TargetModels(RecipeRun& run) {
     campaign.episodes = 1;
     campaign.env.refit_on_query = variant.refit;
     const auto clean = core::EvaluateWithoutAttack(
-        bw.world.dataset, bw.split.train, variant.factory, targets,
+        bw.world.dataset, bw.target.split.train, variant.factory, targets,
         campaign);
     const auto attacked = core::RunCampaign(
-        bw.world.dataset, bw.split.train, variant.factory,
+        bw.world.dataset, bw.target.split.train, variant.factory,
         [&](std::uint64_t) {
           return std::make_unique<core::TargetAttack>(bw.world.dataset, 0.4);
         },
@@ -573,8 +548,8 @@ StrategyOutcome RunRaceStrategy(const BenchWorld& bw, const RaceConfig& race,
     env_config.num_pretend_users = race.pretend_users;
     env_config.query_candidates = race.query_candidates;
     env_config.seed = item_seed;
-    const auto model = bw.ModelFactory()();
-    core::AttackEnvironment env(bw.world.dataset, bw.split.train,
+    const auto model = bw.target.Factory()();
+    core::AttackEnvironment env(bw.world.dataset, bw.target.split.train,
                                 model.get(), env_config);
 
     const auto strategy = factory(item_seed);
@@ -594,7 +569,7 @@ StrategyOutcome RunRaceStrategy(const BenchWorld& bw, const RaceConfig& race,
     // training users and the attacker's pretend accounts.
     const data::Dataset& polluted = env.black_box().polluted();
     const std::size_t base =
-        bw.split.train.num_users() + env.pretend_users().size();
+        bw.target.split.train.num_users() + env.pretend_users().size();
     for (data::UserId u = static_cast<data::UserId>(base);
          u < polluted.num_users(); ++u) {
       outcome.injected.push_back(polluted.UserProfile(u));
@@ -645,7 +620,7 @@ void ArmsRaceFrontier(RecipeRun& run) {
   // and influence-guided injection (arXiv:2002.08025).
   for (const char* method : {"CopyAttack", "SurrogateTransfer", "Influence"}) {
     const serve::StrategySpec spec =
-        serve::MakeStrategyFactory(bw.world.dataset, bw.artifacts, method);
+        serve::MakeStrategyFactory(bw.world.dataset, bw.source, method);
     if (!spec.factory) return run.Fail(spec.error);
     const StrategyOutcome outcome =
         RunRaceStrategy(bw, race, spec.factory, targets);
@@ -695,9 +670,9 @@ void Extensions(RecipeRun& run) {
     core::CopyAttackConfig config;
     config.allow_proxy = true;
     const auto clean = core::EvaluateWithoutAttack(
-        dataset, bw.split.train, bw.ModelFactory(), orphans, campaign);
+        dataset, bw.target.split.train, bw.target.Factory(), orphans, campaign);
     const auto attacked = core::RunCampaign(
-        dataset, bw.split.train, bw.ModelFactory(),
+        dataset, bw.target.split.train, bw.target.Factory(),
         CopyAttackWith(bw, config), orphans, campaign);
     run.Row({"proxy-promotion", Cell(clean, "hr20"), Cell(attacked, "hr20")});
   }
@@ -709,7 +684,7 @@ void Extensions(RecipeRun& run) {
   core::CampaignConfig campaign = DefaultCampaign(912);
   campaign.env.goal = core::AttackGoal::kDemote;
   const auto clean = core::EvaluateWithoutAttack(
-      dataset, bw.split.train, bw.ModelFactory(), popular, campaign);
+      dataset, bw.target.split.train, bw.target.Factory(), popular, campaign);
   const auto attacked = RunMethod(bw, "CopyAttack", popular, campaign);
   run.Row({"demotion", Cell(clean, "hr20"), Cell(attacked, "hr20")});
 }

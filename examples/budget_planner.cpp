@@ -13,11 +13,8 @@
 
 #include "core/copy_attack.h"
 #include "core/runner.h"
-#include "data/split.h"
 #include "data/synthetic.h"
 #include "data/target_items.h"
-#include "rec/pinsage_lite.h"
-#include "rec/trainer.h"
 
 int main() {
   using namespace copyattack;
@@ -25,18 +22,9 @@ int main() {
   const data::SyntheticConfig config = data::SyntheticConfig::SmallCross();
   const data::SyntheticWorld world = data::GenerateSyntheticWorld(config);
 
-  util::Rng split_rng(21);
-  const data::TrainValidTestSplit split =
-      data::SplitDataset(world.dataset.target, split_rng);
-  rec::PinSageLite model;
-  util::Rng train_rng(22);
-  rec::TrainWithEarlyStopping(model, split, world.dataset.target,
-                              rec::TrainOptions{}, train_rng);
-
-  core::SourceArtifactOptions artifact_options;
-  artifact_options.tree_depth = 3;
-  const core::SourceArtifacts artifacts =
-      core::PrepareSourceArtifacts(world.dataset, artifact_options);
+  const core::World prepared = core::PrepareWorld(
+      world.dataset, {.target = {.split_seed = 21, .train_seed = 22}});
+  const core::SourceArtifacts& artifacts = prepared.source;
 
   util::Rng target_rng(23);
   const auto targets =
@@ -45,10 +33,6 @@ int main() {
   const double desired_hr20 = 0.05;
   std::printf("goal: HR@20 >= %.2f over real users\n\n", desired_hr20);
   std::printf("budget  HR@20   profiles  interactions  query_rounds\n");
-
-  const core::ModelFactory model_factory = [&] {
-    return std::make_unique<rec::PinSageLite>(model);
-  };
 
   std::size_t recommended_budget = 0;
   for (const std::size_t budget : {5UL, 10UL, 15UL, 20UL, 30UL, 40UL}) {
@@ -61,7 +45,7 @@ int main() {
 
     // Aggregate over the sampled items to de-noise the estimate.
     const auto result = core::RunCampaign(
-        world.dataset, split.train, model_factory,
+        world.dataset, prepared.target.split.train, prepared.target.Factory(),
         [&](std::uint64_t seed) {
           return std::make_unique<core::CopyAttack>(
               &world.dataset, &artifacts.tree,

@@ -18,11 +18,8 @@
 #include "core/baselines.h"
 #include "core/copy_attack.h"
 #include "core/runner.h"
-#include "data/split.h"
 #include "data/synthetic.h"
 #include "data/target_items.h"
-#include "rec/pinsage_lite.h"
-#include "rec/trainer.h"
 #include "util/csv.h"
 
 int main() {
@@ -32,20 +29,13 @@ int main() {
   const data::SyntheticConfig config = data::SyntheticConfig::SmallCross();
   const data::SyntheticWorld world = data::GenerateSyntheticWorld(config);
 
-  util::Rng split_rng(11);
-  const data::TrainValidTestSplit split =
-      data::SplitDataset(world.dataset.target, split_rng);
-
-  rec::PinSageLite model;
-  util::Rng train_rng(12);
-  const auto report = rec::TrainWithEarlyStopping(
-      model, split, world.dataset.target, rec::TrainOptions{}, train_rng);
-  std::printf("platform A recommender: test HR@10 = %.3f\n", report.test_hr);
-
-  core::SourceArtifactOptions artifact_options;
-  artifact_options.tree_depth = 3;
-  const core::SourceArtifacts artifacts =
-      core::PrepareSourceArtifacts(world.dataset, artifact_options);
+  const core::World prepared = core::PrepareWorld(
+      world.dataset, {.target = {.split_seed = 11, .train_seed = 12}});
+  const data::Dataset& train = prepared.target.split.train;
+  const core::ModelFactory model_factory = prepared.target.Factory();
+  const core::SourceArtifacts& artifacts = prepared.source;
+  std::printf("platform A recommender: test HR@10 = %.3f\n",
+              prepared.target.report.test_hr);
 
   // The campaign slate: 12 cold items the attacker wants promoted.
   util::Rng target_rng(13);
@@ -60,16 +50,12 @@ int main() {
   campaign.eval_users = 250;
   campaign.seed = 99;
 
-  const core::ModelFactory model_factory = [&] {
-    return std::make_unique<rec::PinSageLite>(model);
-  };
-
   std::printf("%s\n", core::CampaignRowHeader().c_str());
   util::CsvWriter csv("promotion_campaign.csv",
                       {"method", "hr20", "ndcg20", "items_per_profile"});
 
   const auto without = core::EvaluateWithoutAttack(
-      world.dataset, split.train, model_factory, slate, campaign);
+      world.dataset, train, model_factory, slate, campaign);
   std::printf("%s\n", core::FormatCampaignRow(without).c_str());
 
   struct MethodSpec {
@@ -103,7 +89,7 @@ int main() {
     core::CampaignConfig per_method = campaign;
     per_method.episodes = spec.episodes;
     const auto result =
-        core::RunCampaign(world.dataset, split.train, model_factory,
+        core::RunCampaign(world.dataset, train, model_factory,
                           spec.factory, slate, per_method);
     std::printf("%s\n", core::FormatCampaignRow(result).c_str());
     csv.WriteRow({result.method,

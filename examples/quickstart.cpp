@@ -2,11 +2,11 @@
 // under a minute.
 //
 //   1. Generate a cross-domain world (target domain A, source domain B).
-//   2. Train the black-box PinSage-style target recommender on A.
-//   3. Pre-train source-domain MF embeddings and build the balanced
-//      hierarchical clustering tree over B's users.
-//   4. Pick a cold target item and run CopyAttack for a few episodes.
-//   5. Report the promotion (HR@20 over real users) before vs after.
+//   2. Prepare it in one step: train the black-box PinSage-style target
+//      recommender on A, pre-train source-domain MF embeddings and build
+//      the balanced hierarchical clustering tree over B's users.
+//   3. Pick a cold target item and run CopyAttack for a few episodes.
+//   4. Report the promotion (HR@20 over real users) before vs after.
 //
 // Build:  cmake -B build -G Ninja && cmake --build build
 // Run:    ./build/examples/quickstart
@@ -16,11 +16,8 @@
 #include "core/copy_attack.h"
 #include "core/environment.h"
 #include "core/runner.h"
-#include "data/split.h"
 #include "data/synthetic.h"
 #include "data/target_items.h"
-#include "rec/pinsage_lite.h"
-#include "rec/trainer.h"
 
 int main() {
   using namespace copyattack;
@@ -37,24 +34,16 @@ int main() {
               world.dataset.source.num_users(),
               world.dataset.OverlapCount());
 
-  // 2. Train the black-box target model (80/10/10, early stopping).
-  util::Rng split_rng(1);
-  const data::TrainValidTestSplit split =
-      data::SplitDataset(world.dataset.target, split_rng);
-  rec::PinSageLite model;
-  util::Rng train_rng(2);
-  const rec::TrainReport report = rec::TrainWithEarlyStopping(
-      model, split, world.dataset.target, rec::TrainOptions{}, train_rng);
+  // 2. The black-box target model (80/10/10 split, early stopping) and
+  //    the source-domain artifacts (MF embeddings + clustering tree).
+  core::World prepared = core::PrepareWorld(
+      world.dataset, {.target = {.split_seed = 1, .train_seed = 2}});
+  const rec::TrainReport& report = prepared.target.report;
   std::printf("target model: test HR@10 = %.3f after %zu epochs\n",
               report.test_hr, report.epochs_run);
+  const core::SourceArtifacts& artifacts = prepared.source;
 
-  // 3. Source-domain artifacts: MF embeddings + clustering tree.
-  core::SourceArtifactOptions artifact_options;
-  artifact_options.tree_depth = 3;
-  const core::SourceArtifacts artifacts =
-      core::PrepareSourceArtifacts(world.dataset, artifact_options);
-
-  // 4. Attack one cold item with CopyAttack.
+  // 3. Attack one cold item with CopyAttack.
   util::Rng target_rng(3);
   const auto targets =
       data::SampleColdTargetItems(world.dataset, 1, 10, target_rng);
@@ -66,8 +55,8 @@ int main() {
   core::EnvConfig env_config;
   env_config.budget = 30;
   env_config.num_pretend_users = 30;
-  core::AttackEnvironment env(world.dataset, split.train, &model,
-                              env_config);
+  core::AttackEnvironment env(world.dataset, prepared.target.split.train,
+                              &prepared.target.model, env_config);
   env.Reset(target_item);
   const auto before = env.EvaluateRealPromotion({20, 10, 5}, 200, 100);
 
@@ -84,7 +73,7 @@ int main() {
                 episode + 1, reward);
   }
 
-  // 5. Promotion achieved (over real users, not the attacker's pretend
+  // 4. Promotion achieved (over real users, not the attacker's pretend
   //    users), plus the attack cost.
   const auto after = env.EvaluateRealPromotion({20, 10, 5}, 200, 100);
   std::printf("\npromotion of item %u over real users:\n", target_item);

@@ -28,6 +28,29 @@ SourceArtifacts PrepareSourceArtifacts(
   return SourceArtifacts{std::move(mf), std::move(tree)};
 }
 
+ModelFactory TargetModel::Factory() const {
+  return [this] { return std::make_unique<rec::PinSageLite>(model); };
+}
+
+TargetModel TrainTargetModel(const data::Dataset& target,
+                             const TargetModelOptions& options) {
+  util::Rng split_rng(options.split_seed);
+  TargetModel trained{data::SplitDataset(target, split_rng),
+                      rec::PinSageLite(), {}};
+  util::Rng train_rng(options.train_seed);
+  trained.report = rec::TrainWithEarlyStopping(
+      trained.model, trained.split, target, options.train, train_rng);
+  CA_LOG(Info) << "target model trained: " << trained.report.epochs_run
+               << " epochs, test HR@10 = " << trained.report.test_hr;
+  return trained;
+}
+
+World PrepareWorld(const data::CrossDomainDataset& dataset,
+                   const WorldOptions& options) {
+  return World{TrainTargetModel(dataset.target, options.target),
+               PrepareSourceArtifacts(dataset, options.source)};
+}
+
 namespace {
 
 /// The "Without Attack" reference strategy: plays no action, so the

@@ -14,7 +14,9 @@
 #include "data/split.h"
 #include "rec/evaluator.h"
 #include "rec/matrix_factorization.h"
+#include "rec/pinsage_lite.h"
 #include "rec/recommender.h"
+#include "rec/trainer.h"
 
 namespace copyattack::core {
 
@@ -42,6 +44,49 @@ SourceArtifacts PrepareSourceArtifacts(const data::CrossDomainDataset& dataset,
 /// (each campaign pollutes its own copy's serving state, so campaigns can
 /// run in parallel).
 using ModelFactory = std::function<std::unique_ptr<rec::Recommender>()>;
+
+/// The black box under attack: the target domain split 80/10/10 and the
+/// PinSage-style recommender trained on `split.train` with early stopping
+/// (paper §5.1.3).
+struct TargetModel {
+  data::TrainValidTestSplit split;
+  rec::PinSageLite model;  ///< fitted prototype; campaigns clone it
+  rec::TrainReport report;
+
+  /// Clones `model` per campaign. The factory points at this object, so
+  /// it must outlive every campaign that uses the factory.
+  ModelFactory Factory() const;
+};
+
+/// Seeds and training schedule of the target model.
+struct TargetModelOptions {
+  std::uint64_t split_seed = 11;
+  std::uint64_t train_seed = 13;
+  rec::TrainOptions train{};
+};
+
+/// Splits `target` with `split_seed` and trains the target model on the
+/// split with `rec::TrainWithEarlyStopping` from `train_seed`.
+TargetModel TrainTargetModel(const data::Dataset& target,
+                             const TargetModelOptions& options);
+
+/// The two products every attack run starts from: the trained black box
+/// and the source-domain artifacts.
+struct World {
+  TargetModel target;
+  SourceArtifacts source;
+};
+
+/// Per-caller seeds and schedules of both products.
+struct WorldOptions {
+  TargetModelOptions target{};
+  SourceArtifactOptions source{};
+};
+
+/// The whole set-up: `TrainTargetModel` on `dataset.target`, then
+/// `PrepareSourceArtifacts`. Each product draws only from its own seeds.
+World PrepareWorld(const data::CrossDomainDataset& dataset,
+                   const WorldOptions& options);
 
 /// Creates a fresh strategy for one target item. `seed` deterministically
 /// varies per item.

@@ -126,14 +126,34 @@ TEST(CliTest, AttackRunsEndToEnd) {
   RemoveWorld(prefix);
 }
 
-TEST(CliTest, JobsFlagRejectsNonPositiveValues) {
-  for (const char* bad : {"--jobs=0", "--jobs=-3", "--jobs=two"}) {
-    std::string output;
-    EXPECT_EQ(RunTool({"attack", bad}, &output), 2) << bad;
-    EXPECT_NE(output.find("expects a positive integer"), std::string::npos)
-        << output;
-    EXPECT_NE(output.find("--jobs"), std::string::npos) << output;
+// Unchecked, a non-positive size reaches a CA_CHECK abort (exit 134),
+// some only after the target model has been trained.
+TEST(CliTest, PositiveIntFlagsRejectNonPositiveValues) {
+  for (const char* flag : {"jobs", "depth", "budget", "episodes", "targets",
+                           "checkpoint_every"}) {
+    for (const char* value : {"0", "-3", "two"}) {
+      const std::string bad = std::string("--") + flag + "=" + value;
+      std::string output;
+      EXPECT_EQ(RunTool({"attack", bad}, &output), 2) << bad;
+      EXPECT_NE(output.find("expects a positive integer"), std::string::npos)
+          << output;
+      EXPECT_NE(output.find(std::string("--") + flag), std::string::npos)
+          << output;
+    }
   }
+}
+
+TEST(CliTest, AttackRejectsUnknownFaultsBeforeTraining) {
+  const std::string prefix = TempPrefix("cli_faults_world");
+  std::string output;
+  ASSERT_EQ(RunTool({"generate", "--config=tiny", "--out", prefix}, &output), 0);
+  EXPECT_EQ(RunTool({"attack", "--data", prefix, "--faults=bogus"}, &output),
+            2);
+  EXPECT_NE(output.find("unknown --faults bogus"), std::string::npos)
+      << output;
+  EXPECT_EQ(output.find("target model test HR@10"), std::string::npos)
+      << output;
+  RemoveWorld(prefix);
 }
 
 TEST(CliTest, AttackWithJobsRoutesThroughShardedRunner) {

@@ -7,7 +7,6 @@
 
 #include "core/runner.h"
 #include "data/dataset.h"
-#include "data/split.h"
 #include "data/synthetic.h"
 #include "data/target_items.h"
 #include "rec/pinsage_lite.h"
@@ -21,48 +20,35 @@ namespace copyattack::testhelpers {
 /// source-domain artifacts (MF embeddings + clustering tree).
 struct TinyWorld {
   data::SyntheticWorld world;
-  data::TrainValidTestSplit split;
-  rec::PinSageLite model;  // fitted prototype; copy per campaign
-  core::SourceArtifacts artifacts;
+  core::World prepared;
+  const data::TrainValidTestSplit& split = prepared.target.split;
+  const rec::PinSageLite& model = prepared.target.model;  // copy per campaign
+  const core::SourceArtifacts& artifacts = prepared.source;
   data::ItemId cold_target = data::kNoItem;
 
   TinyWorld()
       : world(data::GenerateSyntheticWorld(data::SyntheticConfig::Tiny())),
-        split(MakeSplit(world)),
-        model(MakeModel(split)),
-        artifacts(MakeArtifacts(world)) {
+        prepared(core::PrepareWorld(world.dataset, Options())) {
     util::Rng rng(TestSeed(17));
     const auto targets =
         data::SampleColdTargetItems(world.dataset, 1, 10, rng);
     if (!targets.empty()) cold_target = targets[0];
   }
 
-  static data::TrainValidTestSplit MakeSplit(
-      const data::SyntheticWorld& world) {
-    util::Rng rng(TestSeed(23));
-    return data::SplitDataset(world.dataset.target, rng);
-  }
-
-  static rec::PinSageLite MakeModel(
-      const data::TrainValidTestSplit& split) {
-    rec::PinSageLite model;
-    util::Rng rng(TestSeed(29));
-    model.Fit(split.train, 12, rng);
-    return model;
-  }
-
-  static core::SourceArtifacts MakeArtifacts(
-      const data::SyntheticWorld& world) {
-    core::SourceArtifactOptions options;
-    options.mf_epochs = 8;
-    options.tree_depth = 3;
-    return core::PrepareSourceArtifacts(world.dataset, options);
+  /// The set-up seeds; `max_epochs = patience` trains exactly 12 epochs.
+  static core::WorldOptions Options() {
+    core::WorldOptions options;
+    options.target.split_seed = TestSeed(23);
+    options.target.train_seed = TestSeed(29);
+    options.target.train.max_epochs = 12;
+    options.target.train.patience = 12;
+    options.source.mf_epochs = 8;
+    options.source.tree_depth = 3;
+    return options;
   }
 
   /// Model factory for campaign runners (fresh serving state per clone).
-  core::ModelFactory ModelFactory() const {
-    return [this] { return std::make_unique<rec::PinSageLite>(model); };
-  }
+  core::ModelFactory ModelFactory() const { return prepared.target.Factory(); }
 };
 
 /// Returns the process-wide shared TinyWorld (built once; read-only).

@@ -2,14 +2,12 @@
 
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <sstream>
 #include <string>
 
 #include "core/parallel_runner.h"
 #include "core/runner.h"
 #include "data/io.h"
-#include "data/split.h"
 #include "data/stats.h"
 #include "data/synthetic.h"
 #include "data/target_items.h"
@@ -17,8 +15,6 @@
 #include "obs/export.h"
 #include "obs/time.h"
 #include "obs/trace.h"
-#include "rec/pinsage_lite.h"
-#include "rec/trainer.h"
 #include "serve/attack_server.h"
 #include "serve/job_queue.h"
 #include "util/flags.h"
@@ -43,10 +39,12 @@ util::FlagParser MakeParser() {
               "attack: method name (CopyAttack[-Masking|-Length], "
               "PolicyNetwork, RandomAttack, TargetAttack40/70/100, "
               "surrogate_transfer, influence)")
-      .Define("targets", "10", "attack: number of cold target items")
-      .Define("budget", "30", "attack: profile budget per episode")
-      .Define("episodes", "15", "attack: training episodes (learning methods)")
-      .Define("depth", "3", "attack: clustering tree depth")
+      .DefinePositiveInt("targets", "10",
+                         "attack: number of cold target items")
+      .DefinePositiveInt("budget", "30", "attack: profile budget per episode")
+      .DefinePositiveInt("episodes", "15",
+                         "attack: training episodes (learning methods)")
+      .DefinePositiveInt("depth", "3", "attack: clustering tree depth")
       .DefinePositiveInt("jobs", "1",
                          "attack/attack-server: campaign-runner worker "
                          "threads")
@@ -70,8 +68,8 @@ util::FlagParser MakeParser() {
       .Define("fault_seed", "64279", "attack: fault-schedule RNG seed")
       .Define("checkpoint_dir", "",
               "attack: crash-safe checkpoint directory (empty = off)")
-      .Define("checkpoint_every", "1",
-              "attack: episodes between mid-target checkpoints")
+      .DefinePositiveInt("checkpoint_every", "1",
+                         "attack: episodes between mid-target checkpoints")
       .Define("resume", "0",
               "attack: resume from --checkpoint_dir if a checkpoint exists")
       .Define("telemetry_out", "",
@@ -135,42 +133,20 @@ int CmdStats(const util::FlagParser& parser, std::ostream& out) {
   return 0;
 }
 
-/// The black box the model commands train and attack: the target domain
-/// split 80/10/10 (seed 11) and the PinSage-style recommender trained on it
-/// with early stopping (seed 13).
-struct BlackBox {
-  data::TrainValidTestSplit split;
-  rec::PinSageLite model;
-  rec::TrainReport report;
-
-  core::ModelFactory Factory() const {
-    return [this] { return std::make_unique<rec::PinSageLite>(model); };
-  }
-};
-
-BlackBox TrainBlackBox(const data::Dataset& target,
-                       const rec::TrainOptions& options) {
-  util::Rng split_rng(11);
-  BlackBox box{data::SplitDataset(target, split_rng), rec::PinSageLite(), {}};
-  util::Rng train_rng(13);
-  box.report = rec::TrainWithEarlyStopping(box.model, box.split, target,
-                                           options, train_rng);
-  return box;
-}
-
 int CmdTrain(const util::FlagParser& parser, std::ostream& out) {
   data::CrossDomainDataset dataset("", 1);
   if (!LoadOrComplain(parser, &dataset, out)) return 1;
 
-  rec::TrainOptions options;
-  options.max_epochs = parser.GetSizeT("max-epochs");
-  options.patience = parser.GetSizeT("patience");
+  core::TargetModelOptions options;
+  options.train.max_epochs = parser.GetSizeT("max-epochs");
+  options.train.patience = parser.GetSizeT("patience");
   obs::Stopwatch watch;
-  const BlackBox box = TrainBlackBox(dataset.target, options);
-  out << "epochs:        " << box.report.epochs_run << '\n'
-      << "valid HR@10:   " << box.report.best_valid_hr << '\n'
-      << "test  HR@10:   " << box.report.test_hr << '\n'
-      << "test  NDCG@10: " << box.report.test_ndcg << '\n'
+  const rec::TrainReport report =
+      core::TrainTargetModel(dataset.target, options).report;
+  out << "epochs:        " << report.epochs_run << '\n'
+      << "valid HR@10:   " << report.best_valid_hr << '\n'
+      << "test  HR@10:   " << report.test_hr << '\n'
+      << "test  NDCG@10: " << report.test_ndcg << '\n'
       << "wall seconds:  " << watch.ElapsedSeconds() << '\n';
   return 0;
 }
@@ -179,22 +155,13 @@ int CmdAttack(const util::FlagParser& parser, std::ostream& out) {
   data::CrossDomainDataset dataset("", 1);
   if (!LoadOrComplain(parser, &dataset, out)) return 1;
 
-  const BlackBox box = TrainBlackBox(dataset.target, rec::TrainOptions{});
-  out << "target model test HR@10: " << box.report.test_hr << '\n';
-  const core::SourceArtifacts artifacts = core::PrepareSourceArtifacts(
-      dataset, {.tree_depth = parser.GetSizeT("depth")});
-
-  util::Rng target_rng(parser.GetSizeT("seed"));
-  const auto targets = data::SampleColdTargetItems(
-      dataset, parser.GetSizeT("targets"), 10, target_rng);
-  out << "attacking " << targets.size() << " cold target items\n";
-
   core::CampaignConfig campaign;
   campaign.env.budget = parser.GetSizeT("budget");
   campaign.episodes = parser.GetSizeT("episodes");
   campaign.seed = parser.GetSizeT("seed");
   campaign.num_threads = parser.GetSizeT("jobs");
 
+  // Flag values are checked before the (expensive) set-up.
   const std::string faults = parser.GetString("faults");
   if (faults != "off") {
     const std::uint64_t fault_seed = parser.GetSizeT("fault_seed");
@@ -216,9 +183,17 @@ int CmdAttack(const util::FlagParser& parser, std::ostream& out) {
   campaign.checkpoint.resume = parser.GetBool("resume");
   campaign.checkpoint.every_episodes = parser.GetSizeT("checkpoint_every");
 
+  const core::World world = core::PrepareWorld(
+      dataset, {.source = {.tree_depth = parser.GetSizeT("depth")}});
+  out << "target model test HR@10: " << world.target.report.test_hr << '\n';
+  util::Rng target_rng(parser.GetSizeT("seed"));
+  const auto targets = data::SampleColdTargetItems(
+      dataset, parser.GetSizeT("targets"), 10, target_rng);
+  out << "attacking " << targets.size() << " cold target items\n";
+
   const std::string method = parser.GetString("method");
   const serve::StrategySpec spec =
-      serve::MakeStrategyFactory(dataset, artifacts, method);
+      serve::MakeStrategyFactory(dataset, world.source, method);
   if (!spec.factory) {
     out << "error: " << spec.error << '\n';
     return 2;
@@ -226,15 +201,16 @@ int CmdAttack(const util::FlagParser& parser, std::ostream& out) {
   if (!spec.learns) campaign.episodes = 1;
 
   out << core::CampaignRowHeader() << '\n';
+  const data::Dataset& train = world.target.split.train;
   const auto clean = core::EvaluateWithoutAttack(
-      dataset, box.split.train, box.Factory(), targets, campaign);
+      dataset, train, world.target.Factory(), targets, campaign);
   out << core::FormatCampaignRow(clean) << '\n';
 
   core::ParallelRunnerOptions options;
   options.jobs = campaign.num_threads;
   options.checkpoint = campaign.checkpoint;
   const core::ParallelCampaignResult run =
-      core::ParallelCampaignRunner(dataset, box.split.train, box.Factory(),
+      core::ParallelCampaignRunner(dataset, train, world.target.Factory(),
                                    spec.factory, options)
           .Run(targets, campaign);
   const core::CampaignResult& attacked = run.aggregate;
@@ -280,10 +256,9 @@ int CmdAttackServer(const util::FlagParser& parser, std::ostream& out) {
     return 2;
   }
 
-  const BlackBox box = TrainBlackBox(dataset.target, rec::TrainOptions{});
-  out << "target model test HR@10: " << box.report.test_hr << '\n';
-  const core::SourceArtifacts artifacts = core::PrepareSourceArtifacts(
-      dataset, {.tree_depth = parser.GetSizeT("depth")});
+  const core::World world = core::PrepareWorld(
+      dataset, {.source = {.tree_depth = parser.GetSizeT("depth")}});
+  out << "target model test HR@10: " << world.target.report.test_hr << '\n';
 
   serve::ServerConfig server_config;
   server_config.runner.jobs = parser.GetSizeT("jobs");
@@ -303,8 +278,9 @@ int CmdAttackServer(const util::FlagParser& parser, std::ostream& out) {
   for (serve::PromotionJob& job : jobs) queue.Push(std::move(job));
   queue.Close();
 
-  serve::AttackServer server(dataset, box.split.train, box.Factory(),
-                             artifacts, server_config);
+  serve::AttackServer server(dataset, world.target.split.train,
+                             world.target.Factory(), world.source,
+                             server_config);
   out << "serving " << jobs.size() << " promotion jobs ("
       << server_config.runner.jobs << " worker threads)\n";
   const std::vector<serve::JobReport> reports = server.Drain(&queue);

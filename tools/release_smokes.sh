@@ -6,9 +6,9 @@
 #   2c. the tiny arms-race frontier schema check, then the deterministic
 #       recipes regenerated and compared exactly (--tol=0) with their
 #       committed CSVs
-#   2d. every program under examples/ runs to exit 0, and the CSV that
-#       promotion_campaign writes matches the committed sample byte for
-#       byte
+#   2d. every program under examples/ runs to exit 0; the CSV that
+#       promotion_campaign writes and the stdout of quickstart and
+#       budget_planner match their committed samples byte for byte
 #
 # Usage: tools/release_smokes.sh   (needs build/ from the release preset)
 # Reports land under build/reports/.
@@ -88,23 +88,27 @@ echo "recipe smoke OK (9/9 frontier cells; 4 recipes reproduce exactly)"
 # 2d. Example smoke: the example programs are the library's documented
 # entry points (quickstart drives AttackEnvironment directly), so each
 # must run to exit 0. They run from a scratch directory because
-# promotion_campaign writes its CSV to the working directory; that CSV is
-# deterministic and must match examples/promotion_campaign.csv exactly.
+# promotion_campaign writes its CSV to the working directory. That CSV
+# and the stdout of quickstart and budget_planner are deterministic and
+# must match examples/promotion_campaign.csv, examples/quickstart.txt and
+# examples/budget_planner.txt exactly.
 step "examples smoke"
 examples_tmp="$(mktemp -d)"
 for example in quickstart promotion_campaign profile_realism \
                budget_planner detector_audit; do
   if ! (cd "${examples_tmp}" && \
-        "${repo_root}/build/examples/${example}" >/dev/null); then
+        "${repo_root}/build/examples/${example}" \
+          >"${examples_tmp}/${example}.txt"); then
     echo "check_all: examples smoke FAILED: ${example}" >&2
     exit 1
   fi
 done
-if ! cmp "${examples_tmp}/promotion_campaign.csv" \
-     examples/promotion_campaign.csv; then
-  echo "check_all: examples smoke FAILED: promotion_campaign.csv differs" \
-    "from examples/promotion_campaign.csv" >&2
-  exit 1
-fi
+for sample in promotion_campaign.csv quickstart.txt budget_planner.txt; do
+  if ! cmp "${examples_tmp}/${sample}" "examples/${sample}"; then
+    echo "check_all: examples smoke FAILED: ${sample} differs from" \
+      "examples/${sample}" >&2
+    exit 1
+  fi
+done
 rm -rf "${examples_tmp}"
-echo "examples smoke OK (5/5 exit 0; promotion_campaign.csv matches)"
+echo "examples smoke OK (5/5 exit 0; 3 samples match)"

@@ -34,19 +34,15 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/runner.h"
-#include "data/split.h"
 #include "data/synthetic.h"
 #include "fault/crash_point.h"
-#include "rec/pinsage_lite.h"
 #include "serve/attack_server.h"
 #include "serve/job_queue.h"
-#include "util/rng.h"
 #include "util/string_utils.h"
 
 namespace {
@@ -54,7 +50,6 @@ namespace {
 namespace core = copyattack::core;
 namespace data = copyattack::data;
 namespace fault = copyattack::fault;
-namespace rec = copyattack::rec;
 namespace serve = copyattack::serve;
 namespace util = copyattack::util;
 
@@ -100,17 +95,12 @@ int ChildServe(const std::vector<serve::PromotionJob>& jobs,
   // only cross-child state is the checkpoint tree under test.
   const data::SyntheticWorld world =
       data::GenerateSyntheticWorld(data::SyntheticConfig::Tiny());
-  util::Rng split_rng(23);
-  const data::TrainValidTestSplit split =
-      data::SplitDataset(world.dataset.target, split_rng);
-  rec::PinSageLite model;
-  util::Rng fit_rng(29);
-  model.Fit(split.train, 12, fit_rng);
-  core::SourceArtifactOptions artifact_options;
-  artifact_options.mf_epochs = 8;
-  artifact_options.tree_depth = 3;
-  const core::SourceArtifacts artifacts =
-      core::PrepareSourceArtifacts(world.dataset, artifact_options);
+  // max_epochs = patience = 12 always trains the full 12 epochs.
+  const core::World prepared = core::PrepareWorld(
+      world.dataset, {.target = {.split_seed = 23,
+                                 .train_seed = 29,
+                                 .train = {.max_epochs = 12, .patience = 12}},
+                      .source = {.mf_epochs = 8}});
 
   serve::ServerConfig config;
   config.runner.jobs = 1;  // serial: the crash-hit order must be total
@@ -125,10 +115,9 @@ int ChildServe(const std::vector<serve::PromotionJob>& jobs,
   for (const serve::PromotionJob& job : jobs) queue.Push(job);
   queue.Close();
 
-  serve::AttackServer server(
-      world.dataset, split.train,
-      [&model] { return std::make_unique<rec::PinSageLite>(model); },
-      artifacts, config);
+  serve::AttackServer server(world.dataset, prepared.target.split.train,
+                             prepared.target.Factory(), prepared.source,
+                             config);
   const std::vector<serve::JobReport> reports = server.Drain(&queue);
 
   std::ostringstream dump;
