@@ -21,8 +21,10 @@
 #include "core/runner.h"
 #include "data/io.h"
 #include "fault/crash_point.h"
+#include "serve/attack_server.h"
 #include "test_helpers.h"
 #include "test_seed.h"
+#include "util/checksum.h"
 #include "util/rng.h"
 
 namespace copyattack::core {
@@ -616,6 +618,56 @@ TEST(CheckpointResumeTest, ResumeWithFaultsEnabledIsStillExact) {
       RunCampaign(tw.world.dataset, tw.split.train, tw.ModelFactory(),
                   factory, targets, resuming);
   ExpectSameResult(uninterrupted, resumed);
+}
+
+// ---------------------------------------------------------------------------
+// Encoding pins: the CRC32 of the bytes a checkpoint file and each
+// learning strategy's state blob hold, recorded before the raw-byte codec
+// moved into util/binary_io.h. Any change to the on-disk layout moves a CRC
+// and must bump kCheckpointVersion.
+
+std::uint32_t FileCrc(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  return util::Crc32(bytes);
+}
+
+TEST(CheckpointTest, EncodingIsPinned) {
+  const std::string dir = FreshDir("ckpt_pinned");
+  ASSERT_TRUE(SaveCampaignCheckpoint(TestCheckpoint(), dir));
+  EXPECT_EQ(FileCrc(CheckpointPath(dir)), 0x4278346AU);
+
+  if (testhelpers::SeedOverrideActive()) {
+    GTEST_SKIP() << "strategy blobs are pinned only for the default seeds";
+  }
+  const auto& tw = SharedTinyWorld();
+  const struct {
+    const char* method;
+    std::uint32_t crc;
+  } cases[] = {{"CopyAttack", 0xC78BAD4CU},
+               {"PolicyNetwork", 0xAFF8A438U},
+               {"SurrogateTransfer", 0xD665D66AU},
+               {"Influence", 0x7BC8C4A2U}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.method);
+    const serve::StrategySpec spec =
+        serve::MakeStrategyFactory(tw.world.dataset, tw.artifacts, c.method);
+    ASSERT_TRUE(spec.factory) << spec.error;
+    const std::unique_ptr<AttackStrategy> strategy = spec.factory(5);
+    strategy->BeginTargetItem(tw.cold_target);
+    rec::PinSageLite model = tw.model;
+    AttackEnvironment env(tw.world.dataset, tw.split.train, &model,
+                          ResumableCampaign().env);
+    util::Rng rng(11);
+    env.Reset(tw.cold_target);
+    strategy->RunEpisode(env, rng);
+    std::ostringstream blob(std::ios::binary);
+    ASSERT_TRUE(strategy->SaveState(blob));
+    EXPECT_EQ(util::Crc32(blob.str()), c.crc)
+        << std::hex << util::Crc32(blob.str()) << " over "
+        << std::dec << blob.str().size() << " bytes";
+  }
 }
 
 }  // namespace
