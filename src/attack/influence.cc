@@ -9,6 +9,7 @@
 
 #include "core/crafting.h"
 #include "obs/obs.h"
+#include "util/binary_io.h"
 #include "util/check.h"
 
 namespace copyattack::attack {
@@ -103,26 +104,20 @@ double InfluenceAttack::RunEpisode(core::AttackEnvironment& env,
 }
 
 bool InfluenceAttack::SaveState(std::ostream& out) {
-  const std::uint64_t cursor = cursor_;
-  out.write(reinterpret_cast<const char*>(&cursor), sizeof(cursor));
-  out.write(reinterpret_cast<const char*>(&best_reward_),
-            sizeof(best_reward_));
-  out.write(reinterpret_cast<const char*>(&episodes_run_),
-            sizeof(episodes_run_));
-  out.write(reinterpret_cast<const char*>(&influence_evals_),
-            sizeof(influence_evals_));
+  util::WritePod<std::uint64_t>(out, cursor_);
+  util::WritePod(out, best_reward_);
+  util::WritePod(out, episodes_run_);
+  util::WritePod(out, influence_evals_);
   return static_cast<bool>(out);
 }
 
 bool InfluenceAttack::LoadState(std::istream& in) {
   std::uint64_t cursor = 0;
-  in.read(reinterpret_cast<char*>(&cursor), sizeof(cursor));
+  if (!util::ReadPod(in, &cursor)) return false;
   cursor_ = static_cast<std::size_t>(cursor);
-  in.read(reinterpret_cast<char*>(&best_reward_), sizeof(best_reward_));
-  in.read(reinterpret_cast<char*>(&episodes_run_), sizeof(episodes_run_));
-  in.read(reinterpret_cast<char*>(&influence_evals_),
-          sizeof(influence_evals_));
-  return static_cast<bool>(in);
+  return util::ReadPod(in, &best_reward_) &&
+         util::ReadPod(in, &episodes_run_) &&
+         util::ReadPod(in, &influence_evals_);
 }
 
 }  // namespace copyattack::attack

@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "obs/obs.h"
+#include "util/binary_io.h"
 #include "util/check.h"
 
 namespace copyattack::attack {
@@ -154,26 +155,22 @@ double SurrogateTransferAttack::RunEpisode(core::AttackEnvironment& env,
 }
 
 bool SurrogateTransferAttack::SaveState(std::ostream& out) {
-  out.write(reinterpret_cast<const char*>(&step_scale_),
-            sizeof(step_scale_));
-  out.write(reinterpret_cast<const char*>(&best_reward_),
-            sizeof(best_reward_));
-  out.write(reinterpret_cast<const char*>(&best_seed_user_),
-            sizeof(best_seed_user_));
-  out.write(reinterpret_cast<const char*>(&episodes_run_),
-            sizeof(episodes_run_));
+  util::WritePod(out, step_scale_);
+  util::WritePod(out, best_reward_);
+  util::WritePod(out, best_seed_user_);
+  util::WritePod(out, episodes_run_);
   util::WriteRngState(out, ascent_rng_.SaveState());
   return static_cast<bool>(out);
 }
 
 bool SurrogateTransferAttack::LoadState(std::istream& in) {
-  in.read(reinterpret_cast<char*>(&step_scale_), sizeof(step_scale_));
-  in.read(reinterpret_cast<char*>(&best_reward_), sizeof(best_reward_));
-  in.read(reinterpret_cast<char*>(&best_seed_user_),
-          sizeof(best_seed_user_));
-  in.read(reinterpret_cast<char*>(&episodes_run_), sizeof(episodes_run_));
   util::RngState rng_state;
-  if (!util::ReadRngState(in, &rng_state)) return false;
+  if (!util::ReadPod(in, &step_scale_) || !util::ReadPod(in, &best_reward_) ||
+      !util::ReadPod(in, &best_seed_user_) ||
+      !util::ReadPod(in, &episodes_run_) ||
+      !util::ReadRngState(in, &rng_state)) {
+    return false;
+  }
   ascent_rng_.RestoreState(rng_state);
   return true;
 }

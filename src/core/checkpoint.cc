@@ -6,93 +6,40 @@
 #include <sstream>
 
 #include "fault/crash_point.h"
+#include "util/binary_io.h"
 #include "util/checksum.h"
 #include "util/logging.h"
 
 namespace copyattack::core {
 namespace {
 
-// Primitive payload codec. Everything is explicit-width little-endian on
-// the platforms this repo targets; floats/doubles are raw IEEE-754 bytes
-// (bit-exact round trips are the whole point of the checkpoint).
-
-void WriteU8(std::ostream& out, std::uint8_t value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-void WriteU32(std::ostream& out, std::uint32_t value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-void WriteU64(std::ostream& out, std::uint64_t value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-void WriteDouble(std::ostream& out, double value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-void WriteString(std::ostream& out, const std::string& value) {
-  WriteU64(out, value.size());
-  out.write(value.data(), static_cast<std::streamsize>(value.size()));
-}
-
-bool ReadU8(std::istream& in, std::uint8_t* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(*value));
-  return static_cast<bool>(in);
-}
-
-bool ReadU32(std::istream& in, std::uint32_t* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(*value));
-  return static_cast<bool>(in);
-}
-
-bool ReadU64(std::istream& in, std::uint64_t* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(*value));
-  return static_cast<bool>(in);
-}
-
-bool ReadDouble(std::istream& in, double* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(*value));
-  return static_cast<bool>(in);
-}
-
-bool ReadString(std::istream& in, std::string* value) {
-  std::uint64_t size = 0;
-  if (!ReadU64(in, &size)) return false;
-  // Bound string sizes: a corrupted length must not drive a giant
-  // allocation before the CRC would have caught it (the CRC runs first,
-  // but keep the decoder independently robust).
-  if (size > (1ULL << 32)) return false;
-  value->assign(static_cast<std::size_t>(size), '\0');
-  in.read(value->data(), static_cast<std::streamsize>(size));
-  return static_cast<bool>(in);
-}
+using util::ReadPod;
+using util::ReadString;
+using util::WritePod;
+using util::WriteString;
 
 void WriteMetrics(std::ostream& out, const rec::MetricsByK& metrics) {
-  WriteU64(out, metrics.size());
+  WritePod<std::uint64_t>(out, metrics.size());
   for (const auto& [k, m] : metrics) {
-    WriteU64(out, k);
-    WriteDouble(out, m.hr);
-    WriteDouble(out, m.ndcg);
-    WriteU64(out, m.count);
+    WritePod<std::uint64_t>(out, k);
+    WritePod(out, m.hr);
+    WritePod(out, m.ndcg);
+    WritePod<std::uint64_t>(out, m.count);
   }
 }
 
 bool ReadMetrics(std::istream& in, rec::MetricsByK* metrics) {
   std::uint64_t size = 0;
-  if (!ReadU64(in, &size)) return false;
+  if (!ReadPod(in, &size)) return false;
   metrics->clear();
   for (std::uint64_t i = 0; i < size; ++i) {
-    std::uint64_t k = 0;
+    std::uint64_t k = 0, pairs = 0;
     rec::TopKMetrics m;
-    if (!ReadU64(in, &k) || !ReadDouble(in, &m.hr) ||
-        !ReadDouble(in, &m.ndcg)) {
+    if (!ReadPod(in, &k) || !ReadPod(in, &m.hr) || !ReadPod(in, &m.ndcg) ||
+        !ReadPod(in, &pairs)) {
       return false;
     }
-    std::uint64_t count = 0;
-    if (!ReadU64(in, &count)) return false;
-    m.count = static_cast<std::size_t>(count);
+    m.count = static_cast<std::size_t>(pairs);
     (*metrics)[static_cast<std::size_t>(k)] = m;
   }
   return true;
@@ -100,42 +47,42 @@ bool ReadMetrics(std::istream& in, rec::MetricsByK* metrics) {
 
 void WriteOutcome(std::ostream& out, const TargetOutcomeState& outcome) {
   WriteMetrics(out, outcome.metrics);
-  WriteDouble(out, outcome.items_per_profile);
-  WriteDouble(out, outcome.profiles_injected);
-  WriteDouble(out, outcome.query_rounds);
-  WriteDouble(out, outcome.final_reward);
+  WritePod(out, outcome.items_per_profile);
+  WritePod(out, outcome.profiles_injected);
+  WritePod(out, outcome.query_rounds);
+  WritePod(out, outcome.final_reward);
 }
 
 bool ReadOutcome(std::istream& in, TargetOutcomeState* outcome) {
   return ReadMetrics(in, &outcome->metrics) &&
-         ReadDouble(in, &outcome->items_per_profile) &&
-         ReadDouble(in, &outcome->profiles_injected) &&
-         ReadDouble(in, &outcome->query_rounds) &&
-         ReadDouble(in, &outcome->final_reward);
+         ReadPod(in, &outcome->items_per_profile) &&
+         ReadPod(in, &outcome->profiles_injected) &&
+         ReadPod(in, &outcome->query_rounds) &&
+         ReadPod(in, &outcome->final_reward);
 }
 
 std::string SerializePayload(const CampaignCheckpoint& checkpoint) {
   std::ostringstream out(std::ios::binary);
   WriteString(out, checkpoint.fingerprint.method);
-  WriteU64(out, checkpoint.fingerprint.seed);
-  WriteU64(out, checkpoint.fingerprint.episodes);
-  WriteU64(out, checkpoint.fingerprint.num_targets);
-  WriteU64(out, checkpoint.fingerprint.env_budget);
+  WritePod(out, checkpoint.fingerprint.seed);
+  WritePod<std::uint64_t>(out, checkpoint.fingerprint.episodes);
+  WritePod<std::uint64_t>(out, checkpoint.fingerprint.num_targets);
+  WritePod<std::uint64_t>(out, checkpoint.fingerprint.env_budget);
 
-  WriteU64(out, checkpoint.completed.size());
+  WritePod<std::uint64_t>(out, checkpoint.completed.size());
   for (const TargetOutcomeState& outcome : checkpoint.completed) {
     WriteOutcome(out, outcome);
   }
 
   const InProgressTarget& progress = checkpoint.in_progress;
-  WriteU8(out, progress.active ? 1 : 0);
+  WritePod<std::uint8_t>(out, progress.active ? 1 : 0);
   if (progress.active) {
-    WriteU64(out, progress.target_index);
-    WriteU64(out, progress.episodes_done);
+    WritePod<std::uint64_t>(out, progress.target_index);
+    WritePod<std::uint64_t>(out, progress.episodes_done);
     util::WriteRngState(out, progress.episode_rng);
-    WriteU64(out, progress.env.lifetime_queries);
-    WriteU64(out, progress.env.episodes_begun);
-    WriteU64(out, progress.env.proxy_reward_fallbacks);
+    WritePod<std::uint64_t>(out, progress.env.lifetime_queries);
+    WritePod<std::uint64_t>(out, progress.env.episodes_begun);
+    WritePod<std::uint64_t>(out, progress.env.proxy_reward_fallbacks);
     util::WriteRngState(out, progress.env.refit_rng);
     WriteString(out, progress.strategy_blob);
   }
@@ -147,8 +94,8 @@ bool DeserializePayload(const std::string& payload,
   std::istringstream in(payload, std::ios::binary);
   if (!ReadString(in, &checkpoint->fingerprint.method)) return false;
   std::uint64_t seed = 0, episodes = 0, num_targets = 0, env_budget = 0;
-  if (!ReadU64(in, &seed) || !ReadU64(in, &episodes) ||
-      !ReadU64(in, &num_targets) || !ReadU64(in, &env_budget)) {
+  if (!ReadPod(in, &seed) || !ReadPod(in, &episodes) ||
+      !ReadPod(in, &num_targets) || !ReadPod(in, &env_budget)) {
     return false;
   }
   checkpoint->fingerprint.seed = seed;
@@ -158,7 +105,7 @@ bool DeserializePayload(const std::string& payload,
   checkpoint->fingerprint.env_budget = static_cast<std::size_t>(env_budget);
 
   std::uint64_t completed = 0;
-  if (!ReadU64(in, &completed)) return false;
+  if (!ReadPod(in, &completed)) return false;
   if (completed > checkpoint->fingerprint.num_targets) return false;
   checkpoint->completed.assign(static_cast<std::size_t>(completed),
                                TargetOutcomeState{});
@@ -167,7 +114,7 @@ bool DeserializePayload(const std::string& payload,
   }
 
   std::uint8_t active = 0;
-  if (!ReadU8(in, &active)) return false;
+  if (!ReadPod(in, &active)) return false;
   InProgressTarget& progress = checkpoint->in_progress;
   progress = InProgressTarget{};
   progress.active = active != 0;
@@ -175,10 +122,10 @@ bool DeserializePayload(const std::string& payload,
     std::uint64_t target_index = 0, episodes_done = 0;
     std::uint64_t lifetime_queries = 0, episodes_begun = 0;
     std::uint64_t proxy_reward_fallbacks = 0;
-    if (!ReadU64(in, &target_index) || !ReadU64(in, &episodes_done) ||
+    if (!ReadPod(in, &target_index) || !ReadPod(in, &episodes_done) ||
         !util::ReadRngState(in, &progress.episode_rng) ||
-        !ReadU64(in, &lifetime_queries) || !ReadU64(in, &episodes_begun) ||
-        !ReadU64(in, &proxy_reward_fallbacks) ||
+        !ReadPod(in, &lifetime_queries) || !ReadPod(in, &episodes_begun) ||
+        !ReadPod(in, &proxy_reward_fallbacks) ||
         !util::ReadRngState(in, &progress.env.refit_rng) ||
         !ReadString(in, &progress.strategy_blob)) {
       return false;
@@ -218,15 +165,15 @@ bool LoadOneFile(const std::string& path,
   }
   std::uint32_t magic = 0, version = 0, crc = 0;
   std::uint64_t payload_size = 0;
-  if (!ReadU32(in, &magic) || magic != kCheckpointMagic) {
+  if (!ReadPod(in, &magic) || magic != kCheckpointMagic) {
     NoteReject(why, path, "bad magic (truncated or not a checkpoint)");
     return false;
   }
-  if (!ReadU32(in, &version) || version != kCheckpointVersion) {
+  if (!ReadPod(in, &version) || version != kCheckpointVersion) {
     NoteReject(why, path, "unsupported version");
     return false;
   }
-  if (!ReadU64(in, &payload_size) || !ReadU32(in, &crc)) {
+  if (!ReadPod(in, &payload_size) || !ReadPod(in, &crc)) {
     NoteReject(why, path, "truncated header");
     return false;
   }
@@ -247,8 +194,7 @@ bool LoadOneFile(const std::string& path,
     return false;
   }
   std::string payload(static_cast<std::size_t>(payload_size), '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(payload_size));
-  if (!in) {
+  if (!util::ReadBytes(in, payload.data(), payload.size())) {
     // Torn write: payload shorter than declared.
     NoteReject(why, path, "truncated payload");
     return false;
@@ -297,13 +243,11 @@ bool SaveCampaignCheckpoint(const CampaignCheckpoint& checkpoint,
   {
     std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
     if (!out) return false;
-    WriteU32(out, kCheckpointMagic);
-    WriteU32(out, kCheckpointVersion);
-    WriteU64(out, payload.size());
-    WriteU32(out, util::Crc32(payload));
-    out.write(payload.data(),
-              static_cast<std::streamsize>(payload.size()));
-    if (!out) return false;
+    WritePod(out, kCheckpointMagic);
+    WritePod(out, kCheckpointVersion);
+    WritePod<std::uint64_t>(out, payload.size());
+    WritePod(out, util::Crc32(payload));
+    util::WriteBytes(out, payload.data(), payload.size());
     out.flush();
     if (!out) return false;
   }

@@ -8,6 +8,7 @@
 #include "core/proxy.h"
 #include "nn/serialize.h"
 #include "obs/obs.h"
+#include "util/binary_io.h"
 #include "util/check.h"
 
 namespace copyattack::core {
@@ -218,11 +219,8 @@ bool CopyAttack::SaveState(std::ostream& out) {
     return false;
   }
   const nn::MovingBaseline::State baseline = baseline_.SaveState();
-  out.write(reinterpret_cast<const char*>(&baseline.value),
-            sizeof(baseline.value));
-  const std::uint8_t initialized = baseline.initialized ? 1 : 0;
-  out.write(reinterpret_cast<const char*>(&initialized),
-            sizeof(initialized));
+  util::WritePod(out, baseline.value);
+  util::WritePod<std::uint8_t>(out, baseline.initialized ? 1 : 0);
   return static_cast<bool>(out);
 }
 
@@ -233,10 +231,10 @@ bool CopyAttack::LoadState(std::istream& in) {
   }
   nn::MovingBaseline::State baseline;
   std::uint8_t initialized = 0;
-  in.read(reinterpret_cast<char*>(&baseline.value),
-          sizeof(baseline.value));
-  in.read(reinterpret_cast<char*>(&initialized), sizeof(initialized));
-  if (!in) return false;
+  if (!util::ReadPod(in, &baseline.value) ||
+      !util::ReadPod(in, &initialized)) {
+    return false;
+  }
   baseline.initialized = initialized != 0;
   baseline_.RestoreState(baseline);
   return true;

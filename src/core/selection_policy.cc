@@ -12,6 +12,7 @@
 #include "nn/reinforce.h"
 #include "nn/serialize.h"
 #include "obs/obs.h"
+#include "util/binary_io.h"
 #include "util/check.h"
 
 namespace copyattack::core {
@@ -296,14 +297,12 @@ bool HierarchicalSelectionPolicy::SaveState(std::ostream& out) {
     return false;
   }
   util::WriteRngState(out, tree_init_);
-  const std::uint32_t count = static_cast<std::uint32_t>(materialized_nodes());
-  out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  util::WritePod<std::uint32_t>(out, materialized_nodes());
   // Node ids ascend because MLP indices follow node id order.
   for (std::size_t id = 0; id < tree_->num_nodes(); ++id) {
     const std::size_t mlp_index = node_to_mlp_[id];
     if (mlp_index == kNpos || mlps_[mlp_index] == nullptr) continue;
-    const std::uint32_t node_id = static_cast<std::uint32_t>(id);
-    out.write(reinterpret_cast<const char*>(&node_id), sizeof(node_id));
+    util::WritePod<std::uint32_t>(out, id);
     if (!nn::SaveParameters(mlps_[mlp_index]->Parameters(), out)) {
       return false;
     }
@@ -323,14 +322,12 @@ bool HierarchicalSelectionPolicy::LoadState(std::istream& in) {
   touched_mlps_.clear();
 
   std::uint32_t count = 0;
-  in.read(reinterpret_cast<char*>(&count), sizeof(count));
-  if (!in || count > mlps_.size()) return false;
+  if (!util::ReadPod(in, &count) || count > mlps_.size()) return false;
   std::size_t next_id = 0;  // ids must strictly ascend
   for (std::uint32_t i = 0; i < count; ++i) {
     std::uint32_t node_id = 0;
-    in.read(reinterpret_cast<char*>(&node_id), sizeof(node_id));
-    if (!in || node_id < next_id || node_id >= tree_->num_nodes() ||
-        node_to_mlp_[node_id] == kNpos) {
+    if (!util::ReadPod(in, &node_id) || node_id < next_id ||
+        node_id >= tree_->num_nodes() || node_to_mlp_[node_id] == kNpos) {
       return false;
     }
     next_id = static_cast<std::size_t>(node_id) + 1;

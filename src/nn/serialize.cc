@@ -1,37 +1,34 @@
 #include "nn/serialize.h"
 
 #include <cstdint>
-#include <fstream>
 #include <istream>
 #include <ostream>
+#include <string>
+
+#include "util/binary_io.h"
 
 namespace copyattack::nn {
 namespace {
 
 constexpr std::uint32_t kMagic = 0xCA11AB1E;
 
-void WriteU32(std::ostream& out, std::uint32_t value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(value));
-}
-
-bool ReadU32(std::istream& in, std::uint32_t* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(*value));
-  return static_cast<bool>(in);
-}
+using util::ReadBytes;
+using util::ReadPod;
+using util::WriteBytes;
+using util::WritePod;
 
 }  // namespace
 
 bool SaveParameters(const ParameterList& params, std::ostream& out) {
   if (!out) return false;
-  WriteU32(out, kMagic);
-  WriteU32(out, static_cast<std::uint32_t>(params.size()));
+  WritePod(out, kMagic);
+  WritePod<std::uint32_t>(out, params.size());
   for (const Parameter* p : params) {
-    WriteU32(out, static_cast<std::uint32_t>(p->name.size()));
-    out.write(p->name.data(), static_cast<std::streamsize>(p->name.size()));
-    WriteU32(out, static_cast<std::uint32_t>(p->value.rows()));
-    WriteU32(out, static_cast<std::uint32_t>(p->value.cols()));
-    out.write(reinterpret_cast<const char*>(p->value.data()),
-              static_cast<std::streamsize>(p->value.size() * sizeof(float)));
+    WritePod<std::uint32_t>(out, p->name.size());
+    WriteBytes(out, p->name.data(), p->name.size());
+    WritePod<std::uint32_t>(out, p->value.rows());
+    WritePod<std::uint32_t>(out, p->value.cols());
+    WriteBytes(out, p->value.data(), p->value.size() * sizeof(float));
   }
   return static_cast<bool>(out);
 }
@@ -39,33 +36,22 @@ bool SaveParameters(const ParameterList& params, std::ostream& out) {
 bool LoadParameters(const ParameterList& params, std::istream& in) {
   if (!in) return false;
   std::uint32_t magic = 0, count = 0;
-  if (!ReadU32(in, &magic) || magic != kMagic) return false;
-  if (!ReadU32(in, &count) || count != params.size()) return false;
+  if (!ReadPod(in, &magic) || magic != kMagic) return false;
+  if (!ReadPod(in, &count) || count != params.size()) return false;
   for (Parameter* p : params) {
     std::uint32_t name_size = 0, rows = 0, cols = 0;
-    if (!ReadU32(in, &name_size)) return false;
+    if (!ReadPod(in, &name_size)) return false;
     std::string name(name_size, '\0');
-    in.read(name.data(), static_cast<std::streamsize>(name_size));
-    if (!in || name != p->name) return false;
-    if (!ReadU32(in, &rows) || !ReadU32(in, &cols)) return false;
+    if (!ReadBytes(in, name.data(), name.size()) || name != p->name) {
+      return false;
+    }
+    if (!ReadPod(in, &rows) || !ReadPod(in, &cols)) return false;
     if (rows != p->value.rows() || cols != p->value.cols()) return false;
-    in.read(reinterpret_cast<char*>(p->value.data()),
-            static_cast<std::streamsize>(p->value.size() * sizeof(float)));
-    if (!in) return false;
+    if (!ReadBytes(in, p->value.data(), p->value.size() * sizeof(float))) {
+      return false;
+    }
   }
   return true;
-}
-
-bool SaveParameters(const ParameterList& params, const std::string& path) {
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return false;
-  return SaveParameters(params, out);
-}
-
-bool LoadParameters(const ParameterList& params, const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  return LoadParameters(params, in);
 }
 
 }  // namespace copyattack::nn

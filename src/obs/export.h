@@ -17,12 +17,9 @@ namespace copyattack::obs {
 ///   hist_sum     key empty, value = sum of observations
 ///   hist_count   key empty, value = observation count
 /// Metric names never contain commas/quotes, so the format needs no
-/// escaping and `ReadMetricsCsv` round-trips bit-exactly (doubles are
-/// written with 17 significant digits).
+/// escaping, and doubles are written with 17 significant digits, so any
+/// reader that parses them recovers the exact values.
 std::string MetricsToCsv(const MetricsSnapshot& snapshot);
-bool WriteMetricsCsv(const MetricsSnapshot& snapshot,
-                     const std::string& path);
-bool ReadMetricsCsv(const std::string& path, MetricsSnapshot* snapshot);
 
 /// JSON summary — the machine-readable campaign telemetry that
 /// `--telemetry_out` writes as summary.json:
@@ -30,18 +27,13 @@ bool ReadMetricsCsv(const std::string& path, MetricsSnapshot* snapshot);
 ///    "histograms": {"name": {"bounds": [...], "counts": [...],
 ///                            "sum": s, "count": n,
 ///                            "mean": m, "p50": ..., "p95": ..., "p99": ...}}}
-/// The percentile fields are derived (recomputed on parse, not read back).
+/// The mean and percentile fields are derived from the buckets.
 std::string MetricsToJson(const MetricsSnapshot& snapshot);
-bool WriteMetricsJson(const MetricsSnapshot& snapshot,
-                      const std::string& path);
-bool ParseMetricsJson(const std::string& json, MetricsSnapshot* snapshot);
 
 /// Chrome-trace (chrome://tracing / Perfetto "Trace Event Format") dump:
 /// one complete ("ph":"X") event per span, timestamps in microseconds
 /// rebased to the earliest span, thread index as tid, span depth in args.
 std::string EventsToChromeTrace(const std::vector<TraceEvent>& events);
-bool WriteChromeTrace(const std::vector<TraceEvent>& events,
-                      const std::string& path);
 
 /// Writes the three standard exports of the *global* registry/recorder
 /// into `dir` (created if missing): metrics.csv, summary.json, trace.json.

@@ -126,78 +126,130 @@ std::string AttemptsPath(const std::string& job_dir) {
   return (std::filesystem::path(job_dir) / "attempts.count").string();
 }
 
+namespace {
+
+core::StrategyFactory RandomAttackFactory(
+    const data::CrossDomainDataset& dataset, const core::SourceArtifacts&) {
+  return [&dataset](std::uint64_t) {
+    return std::make_unique<core::RandomAttack>(dataset);
+  };
+}
+
+template <int kKeepPercent>
+core::StrategyFactory TargetAttackFactory(
+    const data::CrossDomainDataset& dataset, const core::SourceArtifacts&) {
+  return [&dataset](std::uint64_t) {
+    return std::make_unique<core::TargetAttack>(dataset, kKeepPercent / 100.0);
+  };
+}
+
+// The flat baseline of paper §5.1.4: CopyAttack over a one-level tree.
+core::StrategyFactory PolicyNetworkFactory(
+    const data::CrossDomainDataset& dataset,
+    const core::SourceArtifacts& artifacts) {
+  auto tree = core::BuildFlatTree(artifacts.mf.user_embeddings());
+  return [&dataset, &artifacts, tree](std::uint64_t seed) {
+    return std::make_unique<core::CopyAttack>(
+        &dataset, tree, &artifacts.mf.user_embeddings(),
+        &artifacts.mf.item_embeddings(), core::CopyAttackConfig{}, seed);
+  };
+}
+
+template <bool kMasking, bool kCrafting>
+core::StrategyFactory CopyAttackFactory(
+    const data::CrossDomainDataset& dataset,
+    const core::SourceArtifacts& artifacts) {
+  core::CopyAttackConfig config;
+  config.use_masking = kMasking;
+  config.use_crafting = kCrafting;
+  return [&dataset, &artifacts, config](std::uint64_t seed) {
+    return std::make_unique<core::CopyAttack>(
+        &dataset, &artifacts.tree, &artifacts.mf.user_embeddings(),
+        &artifacts.mf.item_embeddings(), config, seed);
+  };
+}
+
+// The surrogate trains here, once, from a fixed seed (attack/surrogate.h):
+// every per-target strategy of the campaign — on every shard, and again
+// after a resume — shares the identical read-only model, so the method
+// stays bit-identical across shard counts and kill-and-resume.
+template <typename Attack, typename Config>
+core::StrategyFactory SurrogateFactory(const data::CrossDomainDataset& dataset,
+                                       const core::SourceArtifacts&) {
+  auto surrogate = std::make_shared<const attack::TargetSurrogate>(
+      dataset.target, attack::SurrogateConfig{});
+  return [&dataset, surrogate](std::uint64_t seed) {
+    return std::make_unique<Attack>(&dataset, surrogate, Config{}, seed);
+  };
+}
+
+constexpr auto kSurrogateTransfer =
+    SurrogateFactory<attack::SurrogateTransferAttack,
+                     attack::SurrogateTransferConfig>;
+constexpr auto kInfluence =
+    SurrogateFactory<attack::InfluenceAttack, attack::InfluenceConfig>;
+
+struct Method {
+  const char* name;
+  core::StrategyFactory (*build)(const data::CrossDomainDataset&,
+                                 const core::SourceArtifacts&);
+  bool learns = true;
+  /// Resolves like its method but is not listed in `RegisteredMethods`.
+  bool alias = false;
+};
+
+/// The one method table, in registry order: `MakeStrategyFactory`
+/// dispatches on it and `UnknownMethodError` checks names against it.
+constexpr Method kMethods[] = {
+    {"RandomAttack", RandomAttackFactory, /*learns=*/false},
+    {"TargetAttack40", TargetAttackFactory<40>, /*learns=*/false},
+    {"TargetAttack70", TargetAttackFactory<70>, /*learns=*/false},
+    {"TargetAttack100", TargetAttackFactory<100>, /*learns=*/false},
+    {"PolicyNetwork", PolicyNetworkFactory},
+    {"CopyAttack", CopyAttackFactory<true, true>},
+    {"CopyAttack-Masking", CopyAttackFactory<false, true>},
+    {"CopyAttack-Length", CopyAttackFactory<true, false>},
+    {"SurrogateTransfer", kSurrogateTransfer},
+    {"Influence", kInfluence},
+    {"surrogate_transfer", kSurrogateTransfer, true, /*alias=*/true},
+    {"influence", kInfluence, true, /*alias=*/true}};
+
+const Method* FindMethod(const std::string& name) {
+  for (const Method& method : kMethods) {
+    if (name == method.name) return &method;
+  }
+  return nullptr;
+}
+
+}  // namespace
+
 const std::vector<std::string>& RegisteredMethods() {
-  static const std::vector<std::string> methods = {
-      "RandomAttack",       "TargetAttack40",
-      "TargetAttack70",     "TargetAttack100",
-      "PolicyNetwork",      "CopyAttack",
-      "CopyAttack-Masking", "CopyAttack-Length",
-      "SurrogateTransfer",  "Influence"};
-  return methods;
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> listed;
+    for (const Method& method : kMethods) {
+      if (!method.alias) listed.push_back(method.name);
+    }
+    return listed;
+  }();
+  return names;
+}
+
+std::string UnknownMethodError(const std::string& method) {
+  if (FindMethod(method) != nullptr) return "";
+  std::string error = "unknown --method '" + method + "'; registered methods:";
+  for (const std::string& name : RegisteredMethods()) error += ' ' + name;
+  return error;
 }
 
 StrategySpec MakeStrategyFactory(const data::CrossDomainDataset& dataset,
                                  const core::SourceArtifacts& artifacts,
                                  const std::string& method) {
   StrategySpec spec;
-  if (method == "RandomAttack") {
-    spec.learns = false;
-    spec.factory = [&dataset](std::uint64_t) {
-      return std::make_unique<core::RandomAttack>(dataset);
-    };
-  } else if (method == "TargetAttack40" || method == "TargetAttack70" ||
-             method == "TargetAttack100") {
-    spec.learns = false;
-    const double keep = method == "TargetAttack40"   ? 0.4
-                        : method == "TargetAttack70" ? 0.7
-                                                     : 1.0;
-    spec.factory = [&dataset, keep](std::uint64_t) {
-      return std::make_unique<core::TargetAttack>(dataset, keep);
-    };
-  } else if (method == "PolicyNetwork") {
-    // The flat baseline of paper §5.1.4: CopyAttack over a one-level tree.
-    auto tree = core::BuildFlatTree(artifacts.mf.user_embeddings());
-    spec.factory = [&dataset, &artifacts, tree](std::uint64_t seed) {
-      return std::make_unique<core::CopyAttack>(
-          &dataset, tree, &artifacts.mf.user_embeddings(),
-          &artifacts.mf.item_embeddings(), core::CopyAttackConfig{}, seed);
-    };
-  } else if (method == "CopyAttack" || method == "CopyAttack-Masking" ||
-             method == "CopyAttack-Length") {
-    core::CopyAttackConfig config;
-    config.use_masking = method != "CopyAttack-Masking";
-    config.use_crafting = method != "CopyAttack-Length";
-    spec.factory = [&dataset, &artifacts, config](std::uint64_t seed) {
-      return std::make_unique<core::CopyAttack>(
-          &dataset, &artifacts.tree, &artifacts.mf.user_embeddings(),
-          &artifacts.mf.item_embeddings(), config, seed);
-    };
-  } else if (method == "SurrogateTransfer" ||
-             method == "surrogate_transfer") {
-    // The surrogate trains here, once, from a fixed seed (attack/
-    // surrogate.h): every per-target strategy of the campaign — on every
-    // shard, and again after a resume — shares the identical read-only
-    // model, so the method stays bit-identical across shard counts and
-    // kill-and-resume.
-    auto surrogate = std::make_shared<const attack::TargetSurrogate>(
-        dataset.target, attack::SurrogateConfig{});
-    spec.factory = [&dataset, surrogate](std::uint64_t seed) {
-      return std::make_unique<attack::SurrogateTransferAttack>(
-          &dataset, surrogate, attack::SurrogateTransferConfig{}, seed);
-    };
-  } else if (method == "Influence" || method == "influence") {
-    auto surrogate = std::make_shared<const attack::TargetSurrogate>(
-        dataset.target, attack::SurrogateConfig{});
-    spec.factory = [&dataset, surrogate](std::uint64_t seed) {
-      return std::make_unique<attack::InfluenceAttack>(
-          &dataset, surrogate, attack::InfluenceConfig{}, seed);
-    };
-  }
-  if (!spec.factory) {
-    spec.error = "unknown --method '" + method + "'; registered methods:";
-    for (const std::string& name : RegisteredMethods()) {
-      spec.error += ' ' + name;
-    }
+  if (const Method* entry = FindMethod(method)) {
+    spec.factory = entry->build(dataset, artifacts);
+    spec.learns = entry->learns;
+  } else {
+    spec.error = UnknownMethodError(method);
   }
   return spec;
 }

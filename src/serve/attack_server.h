@@ -32,6 +32,12 @@ struct StrategySpec {
 /// the factory but not listed twice.
 const std::vector<std::string>& RegisteredMethods();
 
+/// Empty when `MakeStrategyFactory` resolves `method` (aliases included);
+/// otherwise the error it would report, naming the offender and listing
+/// every registered method. Needs no dataset, so a caller can reject a
+/// misspelt method before the set-up trains anything.
+std::string UnknownMethodError(const std::string& method);
+
 /// Resolves an attack-method name ("CopyAttack", "CopyAttack-Masking",
 /// "CopyAttack-Length", "PolicyNetwork", "RandomAttack",
 /// "TargetAttack40/70/100", "SurrogateTransfer"/"surrogate_transfer",

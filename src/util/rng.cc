@@ -4,6 +4,8 @@
 #include <istream>
 #include <ostream>
 
+#include "util/binary_io.h"
+
 namespace copyattack::util {
 namespace {
 
@@ -30,21 +32,16 @@ std::uint64_t DeriveStreamSeed(std::uint64_t base, std::uint64_t stream) {
 }
 
 void WriteRngState(std::ostream& out, const RngState& state) {
-  out.write(reinterpret_cast<const char*>(state.words), sizeof(state.words));
-  const std::uint8_t cached = state.has_cached_normal ? 1 : 0;
-  out.write(reinterpret_cast<const char*>(&cached), sizeof(cached));
-  out.write(reinterpret_cast<const char*>(&state.cached_normal),
-            sizeof(state.cached_normal));
+  WritePod(out, state.words);
+  WritePod<std::uint8_t>(out, state.has_cached_normal ? 1 : 0);
+  WritePod(out, state.cached_normal);
 }
 
 bool ReadRngState(std::istream& in, RngState* state) {
   std::uint8_t cached = 0;
-  in.read(reinterpret_cast<char*>(state->words), sizeof(state->words));
-  in.read(reinterpret_cast<char*>(&cached), sizeof(cached));
+  if (!ReadPod(in, &state->words) || !ReadPod(in, &cached)) return false;
   state->has_cached_normal = cached != 0;
-  in.read(reinterpret_cast<char*>(&state->cached_normal),
-          sizeof(state->cached_normal));
-  return static_cast<bool>(in);
+  return ReadPod(in, &state->cached_normal);
 }
 
 Rng::Rng(std::uint64_t seed) {
@@ -155,8 +152,6 @@ std::vector<std::size_t> Rng::SampleWithoutReplacement(std::size_t n,
   pool.resize(k);
   return pool;
 }
-
-Rng Rng::Fork() { return Rng(NextUint64()); }
 
 RngState Rng::SaveState() const {
   RngState state;

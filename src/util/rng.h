@@ -29,10 +29,10 @@ struct RngState CA_CHECKPOINTED(WriteRngState, ReadRngState) {
   double cached_normal = 0.0;
 };
 
-/// Binary codec for `RngState` (little-endian words, a cached-normal flag
-/// byte, then the cached deviate's raw bytes), shared by every checkpoint
-/// that embeds a stream position. `ReadRngState` returns false on a short
-/// read.
+/// Binary encoding of `RngState` through util/binary_io.h (the four words,
+/// a cached-normal flag byte, then the cached deviate's raw bytes), shared
+/// by every checkpoint that embeds a stream position. `ReadRngState`
+/// returns false on a short read.
 void WriteRngState(std::ostream& out, const RngState& state);
 bool ReadRngState(std::istream& in, RngState* state);
 
@@ -89,10 +89,6 @@ class Rng CA_CHECKPOINTED(Rng::SaveState, Rng::RestoreState) {
   /// Fisher–Yates). Requires `k <= n`. Order of the result is random.
   std::vector<std::size_t> SampleWithoutReplacement(std::size_t n,
                                                     std::size_t k);
-
-  /// Creates an independent child generator; useful for giving each thread
-  /// or each experiment arm its own deterministic stream.
-  Rng Fork();
 
   /// Snapshots the full generator state (see `RngState`).
   RngState SaveState() const;

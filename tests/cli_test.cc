@@ -226,10 +226,13 @@ TEST(CliTest, AttackRejectsUnknownMethod) {
   const std::string prefix = TempPrefix("cli_method_world");
   std::string output;
   ASSERT_EQ(RunTool({"generate", "--config=tiny", "--out", prefix}, &output), 0);
-  EXPECT_NE(RunTool({"attack", "--data", prefix, "--method=VoodooAttack"},
+  EXPECT_EQ(RunTool({"attack", "--data", prefix, "--method=VoodooAttack"},
                 &output),
-            0);
-  EXPECT_NE(output.find("unknown --method"), std::string::npos);
+            2);
+  EXPECT_NE(output.find("unknown --method"), std::string::npos) << output;
+  // The name is checked before the set-up trains anything.
+  EXPECT_EQ(output.find("target model test HR@10"), std::string::npos)
+      << output;
   RemoveWorld(prefix);
 }
 

@@ -1,5 +1,6 @@
 #include <cmath>
-#include <cstdio>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -318,13 +319,13 @@ TEST(ReinforceTest, MovingBaselineTracksReturns) {
 TEST(SerializeTest, SaveLoadRoundTrip) {
   util::Rng rng(testhelpers::TestSeed(19));
   Mlp mlp("s", {2, 3, 2}, rng, Activation::kRelu, 0.3f);
-  const std::string path = testing::TempDir() + "/ca_params.bin";
-  ASSERT_TRUE(SaveParameters(mlp.Parameters(), path));
+  std::stringstream blob;
+  ASSERT_TRUE(SaveParameters(mlp.Parameters(), blob));
 
   // Clone architecture, load, compare outputs.
   util::Rng rng2(testhelpers::TestSeed(999));
   Mlp copy("s", {2, 3, 2}, rng2, Activation::kRelu, 0.3f);
-  ASSERT_TRUE(LoadParameters(copy.Parameters(), path));
+  ASSERT_TRUE(LoadParameters(copy.Parameters(), blob));
 
   MlpContext ctx_a, ctx_b;
   const auto a = mlp.Forward({0.5f, -0.5f}, &ctx_a);
@@ -333,17 +334,15 @@ TEST(SerializeTest, SaveLoadRoundTrip) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_FLOAT_EQ(a[i], b[i]);
   }
-  std::remove(path.c_str());
 }
 
 TEST(SerializeTest, LoadRejectsMismatchedArchitecture) {
   util::Rng rng(testhelpers::TestSeed(19));
   Mlp mlp("s", {2, 3, 2}, rng, Activation::kRelu, 0.3f);
-  const std::string path = testing::TempDir() + "/ca_params2.bin";
-  ASSERT_TRUE(SaveParameters(mlp.Parameters(), path));
+  std::stringstream blob;
+  ASSERT_TRUE(SaveParameters(mlp.Parameters(), blob));
   Mlp other("s", {2, 4, 2}, rng, Activation::kRelu, 0.3f);
-  EXPECT_FALSE(LoadParameters(other.Parameters(), path));
-  std::remove(path.c_str());
+  EXPECT_FALSE(LoadParameters(other.Parameters(), blob));
 }
 
 /// REINFORCE sanity: on a 3-armed bandit with deterministic rewards, the

@@ -180,17 +180,6 @@ TEST(RngTest, ShufflePreservesElements) {
   EXPECT_EQ(shuffled, values);
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng a(testhelpers::TestSeed(9));
-  Rng child = a.Fork();
-  // Child stream should not replicate the parent's next outputs.
-  int equal = 0;
-  for (int i = 0; i < 50; ++i) {
-    if (a.NextUint64() == child.NextUint64()) ++equal;
-  }
-  EXPECT_LT(equal, 3);
-}
-
 TEST(StringUtilsTest, SplitKeepsEmptyFields) {
   const auto fields = Split("a,,b,", ',');
   ASSERT_EQ(fields.size(), 4U);

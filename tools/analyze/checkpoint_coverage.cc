@@ -52,9 +52,9 @@ std::string JoinNames(const std::vector<std::string>& names) {
 /// (`Owner::Fn`) match only methods of `Owner`; unqualified names prefer
 /// methods of the annotated class itself, then free functions, then any
 /// method. Within a tier the body referencing the most tracked members
-/// wins — that is what picks the stream overload of SaveParameters over
-/// the path-taking convenience overload, which references no member at
-/// all. Ties break on (path, line) so reports are deterministic.
+/// wins, so a same-named overload that only forwards to the real
+/// serializer (and references no member at all) never hides it. Ties
+/// break on (path, line) so reports are deterministic.
 Candidate ResolveSerializer(const SourceTree& tree,
                             const std::vector<FileStructure>& structures,
                             const std::string& qualifier,

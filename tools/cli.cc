@@ -162,6 +162,12 @@ int CmdAttack(const util::FlagParser& parser, std::ostream& out) {
   campaign.num_threads = parser.GetSizeT("jobs");
 
   // Flag values are checked before the (expensive) set-up.
+  const std::string method = parser.GetString("method");
+  if (const std::string error = serve::UnknownMethodError(method);
+      !error.empty()) {
+    out << "error: " << error << '\n';
+    return 2;
+  }
   const std::string faults = parser.GetString("faults");
   if (faults != "off") {
     const std::uint64_t fault_seed = parser.GetSizeT("fault_seed");
@@ -191,13 +197,8 @@ int CmdAttack(const util::FlagParser& parser, std::ostream& out) {
       dataset, parser.GetSizeT("targets"), 10, target_rng);
   out << "attacking " << targets.size() << " cold target items\n";
 
-  const std::string method = parser.GetString("method");
   const serve::StrategySpec spec =
       serve::MakeStrategyFactory(dataset, world.source, method);
-  if (!spec.factory) {
-    out << "error: " << spec.error << '\n';
-    return 2;
-  }
   if (!spec.learns) campaign.episodes = 1;
 
   out << core::CampaignRowHeader() << '\n';

@@ -2,7 +2,7 @@
 # The release build's end-to-end smokes, run by tools/check_all.sh after
 # the release suite and by CI after its Test step:
 #
-#   2b. telemetry export through the real CLI
+#   2b. telemetry export through the real CLI; its JSON files must parse
 #   2c. the tiny arms-race frontier schema check, then the deterministic
 #       recipes regenerated and compared exactly (--tol=0) with their
 #       committed CSVs
@@ -22,8 +22,9 @@ step() { printf '\n== check_all: %s ==\n' "$*"; }
 
 # 2b. Telemetry-export smoke: a tiny end-to-end attack with
 # --telemetry_out must produce non-empty metrics.csv, summary.json and
-# trace.json (the Chrome-trace file). Exercises the whole obs subsystem —
-# registry, spans, exporters — through the real CLI.
+# trace.json (the Chrome-trace file), and both JSON files must parse.
+# Exercises the whole obs subsystem — registry, spans, exporters — through
+# the real CLI.
 step "telemetry export smoke"
 telemetry_tmp="$(mktemp -d)"
 trap 'rm -rf "${telemetry_tmp}"' EXIT
@@ -35,6 +36,13 @@ trap 'rm -rf "${telemetry_tmp}"' EXIT
 for f in metrics.csv summary.json trace.json; do
   if [[ ! -s "${telemetry_tmp}/telemetry/${f}" ]]; then
     echo "check_all: telemetry smoke FAILED: missing or empty ${f}" >&2
+    exit 1
+  fi
+done
+for f in summary.json trace.json; do
+  if ! python3 -c 'import json,sys; json.load(open(sys.argv[1]))' \
+      "${telemetry_tmp}/telemetry/${f}"; then
+    echo "check_all: telemetry smoke FAILED: ${f} is not valid JSON" >&2
     exit 1
   fi
 done
