@@ -67,7 +67,7 @@ struct CampaignCheckpoint CA_CHECKPOINTED(SerializePayload,
   InProgressTarget in_progress;
 };
 
-/// Checkpoint file layout (DESIGN.md §11): little-endian
+/// Checkpoint file layout (DESIGN.md §11), encoded with util/binary_io.h:
 ///   magic u32 | version u32 | payload_size u64 | crc32(payload) u32 |
 ///   payload bytes
 /// The trailer-less fixed header lets the loader detect truncation before

@@ -211,8 +211,9 @@ constexpr Method kMethods[] = {
     {"CopyAttack-Length", CopyAttackFactory<true, false>},
     {"SurrogateTransfer", kSurrogateTransfer},
     {"Influence", kInfluence},
-    {"surrogate_transfer", kSurrogateTransfer, true, /*alias=*/true},
-    {"influence", kInfluence, true, /*alias=*/true}};
+    {"surrogate_transfer", kSurrogateTransfer, /*learns=*/true,
+     /*alias=*/true},
+    {"influence", kInfluence, /*learns=*/true, /*alias=*/true}};
 
 const Method* FindMethod(const std::string& name) {
   for (const Method& method : kMethods) {
