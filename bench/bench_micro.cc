@@ -1,10 +1,12 @@
 // Google-benchmark microbenchmarks for the substrate hot paths: balanced
-// tree construction, masked tree-walk decisions, the BPR draw producer
-// and BPR training epochs, black-box query scoring (per score and per
-// query-round row), and top-k selection (allocating and per-row forms).
+// tree construction, masked tree-walk decisions, the BPR draw producer,
+// BPR training epochs and the attacker's whole surrogate, black-box query
+// scoring (per score and per query-round row), and top-k selection
+// (allocating and per-row forms).
 
 #include <benchmark/benchmark.h>
 
+#include "attack/surrogate.h"
 #include "cluster/hierarchical_tree.h"
 #include "cluster/kmeans.h"
 #include "core/environment.h"
@@ -154,6 +156,21 @@ void BM_PinSageTrainEpoch(benchmark::State& state) {
                           split.train.num_interactions());
 }
 BENCHMARK(BM_PinSageTrainEpoch)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// One whole attacker surrogate (attack/surrogate.h): `epochs` MF epochs
+// over the target domain with the default config, as the attack server
+// trains it for its first surrogate-based job.
+void BM_SurrogateTrain(benchmark::State& state) {
+  const data::Dataset& observable = LargeWorld().dataset.target;
+  const attack::SurrogateConfig config;
+  for (auto _ : state) {
+    const attack::TargetSurrogate surrogate(observable, config);
+    benchmark::DoNotOptimize(surrogate.item_embeddings().data());
+  }
+  state.SetItemsProcessed(state.iterations() * config.epochs *
+                          observable.num_interactions());
+}
+BENCHMARK(BM_SurrogateTrain)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_PinSageScore(benchmark::State& state) {
   const rec::PinSageLite& model = TinyTarget().model;

@@ -617,10 +617,12 @@ void ArmsRaceFrontier(RecipeRun& run) {
   knn.Fit(genuine_features);
 
   // CopyAttack and the zoo rows: surrogate transfer (arXiv:2008.04876)
-  // and influence-guided injection (arXiv:2002.08025).
+  // and influence-guided injection (arXiv:2002.08025), which share one
+  // trained surrogate.
+  serve::SurrogateSlot surrogate;
   for (const char* method : {"CopyAttack", "SurrogateTransfer", "Influence"}) {
-    const serve::StrategySpec spec =
-        serve::MakeStrategyFactory(bw.world.dataset, bw.source, method);
+    const serve::StrategySpec spec = serve::MakeStrategyFactory(
+        bw.world.dataset, bw.source, method, &surrogate);
     if (!spec.factory) return run.Fail(spec.error);
     const StrategyOutcome outcome =
         RunRaceStrategy(bw, race, spec.factory, targets);

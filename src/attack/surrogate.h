@@ -12,11 +12,13 @@
 namespace copyattack::attack {
 
 /// Training budget of the attacker's local surrogate. The surrogate is
-/// trained once per (dataset, config) from a fixed seed, so every shard of
-/// a sharded campaign — and every resume of a checkpointed one — derives
-/// the identical model; attack outcomes stay bit-identical across shard
-/// counts and kill-and-resume without the surrogate ever being part of a
-/// checkpoint.
+/// trained from a fixed seed, so every copy built from one (dataset,
+/// config) is the identical model: every shard of a sharded campaign,
+/// every resume of a checkpointed one and every job of an attack server
+/// (which trains it once and shares it, `serve::SurrogateSlot`) see the
+/// same surrogate. Attack outcomes stay bit-identical across shard
+/// counts, kill-and-resume and whichever job trained it, without the
+/// surrogate ever being part of a checkpoint.
 struct SurrogateConfig {
   std::size_t embedding_dim = 8;
   /// BPR epochs over the observable interactions. Deliberately small: the

@@ -129,7 +129,8 @@ std::string AttemptsPath(const std::string& job_dir) {
 namespace {
 
 core::StrategyFactory RandomAttackFactory(
-    const data::CrossDomainDataset& dataset, const core::SourceArtifacts&) {
+    const data::CrossDomainDataset& dataset, const core::SourceArtifacts&,
+    SurrogateSlot*) {
   return [&dataset](std::uint64_t) {
     return std::make_unique<core::RandomAttack>(dataset);
   };
@@ -137,7 +138,8 @@ core::StrategyFactory RandomAttackFactory(
 
 template <int kKeepPercent>
 core::StrategyFactory TargetAttackFactory(
-    const data::CrossDomainDataset& dataset, const core::SourceArtifacts&) {
+    const data::CrossDomainDataset& dataset, const core::SourceArtifacts&,
+    SurrogateSlot*) {
   return [&dataset](std::uint64_t) {
     return std::make_unique<core::TargetAttack>(dataset, kKeepPercent / 100.0);
   };
@@ -146,7 +148,7 @@ core::StrategyFactory TargetAttackFactory(
 // The flat baseline of paper §5.1.4: CopyAttack over a one-level tree.
 core::StrategyFactory PolicyNetworkFactory(
     const data::CrossDomainDataset& dataset,
-    const core::SourceArtifacts& artifacts) {
+    const core::SourceArtifacts& artifacts, SurrogateSlot*) {
   auto tree = core::BuildFlatTree(artifacts.mf.user_embeddings());
   return [&dataset, &artifacts, tree](std::uint64_t seed) {
     return std::make_unique<core::CopyAttack>(
@@ -158,7 +160,7 @@ core::StrategyFactory PolicyNetworkFactory(
 template <bool kMasking, bool kCrafting>
 core::StrategyFactory CopyAttackFactory(
     const data::CrossDomainDataset& dataset,
-    const core::SourceArtifacts& artifacts) {
+    const core::SourceArtifacts& artifacts, SurrogateSlot*) {
   core::CopyAttackConfig config;
   config.use_masking = kMasking;
   config.use_crafting = kCrafting;
@@ -169,17 +171,22 @@ core::StrategyFactory CopyAttackFactory(
   };
 }
 
-// The surrogate trains here, once, from a fixed seed (attack/surrogate.h):
-// every per-target strategy of the campaign — on every shard, and again
+// The surrogate trains into an empty slot, from a fixed seed
+// (attack/surrogate.h); a filled slot already holds that same model.
+// Every per-target strategy of the campaign — on every shard, and again
 // after a resume — shares the identical read-only model, so the method
-// stays bit-identical across shard counts and kill-and-resume.
+// stays bit-identical across shard counts, kill-and-resume, and whichever
+// job filled the slot.
 template <typename Attack, typename Config>
 core::StrategyFactory SurrogateFactory(const data::CrossDomainDataset& dataset,
-                                       const core::SourceArtifacts&) {
-  auto surrogate = std::make_shared<const attack::TargetSurrogate>(
-      dataset.target, attack::SurrogateConfig{});
-  return [&dataset, surrogate](std::uint64_t seed) {
-    return std::make_unique<Attack>(&dataset, surrogate, Config{}, seed);
+                                       const core::SourceArtifacts&,
+                                       SurrogateSlot* surrogate) {
+  if (*surrogate == nullptr) {
+    *surrogate = std::make_shared<const attack::TargetSurrogate>(
+        dataset.target, attack::SurrogateConfig{});
+  }
+  return [&dataset, model = *surrogate](std::uint64_t seed) {
+    return std::make_unique<Attack>(&dataset, model, Config{}, seed);
   };
 }
 
@@ -192,7 +199,8 @@ constexpr auto kInfluence =
 struct Method {
   const char* name;
   core::StrategyFactory (*build)(const data::CrossDomainDataset&,
-                                 const core::SourceArtifacts&);
+                                 const core::SourceArtifacts&,
+                                 SurrogateSlot*);
   bool learns = true;
   /// Resolves like its method but is not listed in `RegisteredMethods`.
   bool alias = false;
@@ -244,15 +252,24 @@ std::string UnknownMethodError(const std::string& method) {
 
 StrategySpec MakeStrategyFactory(const data::CrossDomainDataset& dataset,
                                  const core::SourceArtifacts& artifacts,
-                                 const std::string& method) {
+                                 const std::string& method,
+                                 SurrogateSlot* surrogate) {
+  CA_CHECK(surrogate != nullptr);
   StrategySpec spec;
   if (const Method* entry = FindMethod(method)) {
-    spec.factory = entry->build(dataset, artifacts);
+    spec.factory = entry->build(dataset, artifacts, surrogate);
     spec.learns = entry->learns;
   } else {
     spec.error = UnknownMethodError(method);
   }
   return spec;
+}
+
+StrategySpec MakeStrategyFactory(const data::CrossDomainDataset& dataset,
+                                 const core::SourceArtifacts& artifacts,
+                                 const std::string& method) {
+  SurrogateSlot surrogate;
+  return MakeStrategyFactory(dataset, artifacts, method, &surrogate);
 }
 
 AttackServer::AttackServer(const data::CrossDomainDataset& dataset,
@@ -276,7 +293,7 @@ JobReport AttackServer::RunJob(const PromotionJob& job) {
   report.job = job;
 
   const StrategySpec spec =
-      MakeStrategyFactory(dataset_, artifacts_, job.method);
+      MakeStrategyFactory(dataset_, artifacts_, job.method, &surrogate_);
   if (!spec.factory) {
     report.error = spec.error;
     ++jobs_failed_;

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,7 +14,19 @@
 #include "data/dataset.h"
 #include "serve/job_queue.h"
 
+namespace copyattack::attack {
+class TargetSurrogate;
+}  // namespace copyattack::attack
+
 namespace copyattack::serve {
+
+/// Holds the attacker's local model (attack/surrogate.h) for the
+/// surrogate-based methods. `MakeStrategyFactory` trains into an empty
+/// slot and reuses a filled one; every copy is trained from
+/// `dataset.target` with the default `SurrogateConfig` and its fixed
+/// seed, so reuse changes no outcome. Reuse a slot only with the dataset
+/// that filled it.
+using SurrogateSlot = std::shared_ptr<const attack::TargetSurrogate>;
 
 /// A named attack method resolved to its strategy factory.
 struct StrategySpec {
@@ -45,12 +58,21 @@ std::string UnknownMethodError(const std::string& method);
 /// per-dataset artifacts — the single dispatch table behind both the
 /// `attack` CLI command and the attack server. `dataset` and `artifacts`
 /// are captured by reference and must outlive the returned factory. The
-/// surrogate-based methods train the attacker's local model here, once,
-/// from a fixed seed; every per-target strategy shares it read-only.
+/// surrogate-based methods take the attacker's local model from
+/// `*surrogate`, training it there first when the slot is empty; every
+/// per-target strategy shares it read-only, and the factory holds its own
+/// reference, so the slot may be reset or destroyed afterwards.
 /// "PolicyNetwork" builds its one-level tree here, once; the factory and
 /// each of its strategies share it, so a strategy may outlive the factory.
 /// On an unknown name the returned spec has a null factory and `error`
 /// lists the registered methods.
+StrategySpec MakeStrategyFactory(const data::CrossDomainDataset& dataset,
+                                 const core::SourceArtifacts& artifacts,
+                                 const std::string& method,
+                                 SurrogateSlot* surrogate);
+
+/// As above with a slot of its own: each call that resolves a
+/// surrogate-based method trains a fresh surrogate.
 StrategySpec MakeStrategyFactory(const data::CrossDomainDataset& dataset,
                                  const core::SourceArtifacts& artifacts,
                                  const std::string& method);
@@ -137,7 +159,10 @@ struct JobReport {
 /// per-job checkpoint/resume. Jobs execute one at a time in arrival
 /// order — each job already owns the configured `--jobs` worth of
 /// parallelism, so running jobs concurrently would only oversubscribe
-/// the pool — while producers keep feeding the queue concurrently.
+/// the pool — while producers keep feeding the queue concurrently. The
+/// server trains the attacker's surrogate at most once: the first
+/// surrogate-based job fills the server's slot and every later job on
+/// the server reuses it.
 class AttackServer {
  public:
   /// `dataset`, `target_train` and `artifacts` are borrowed and must
@@ -150,7 +175,10 @@ class AttackServer {
 
   /// Runs one job to completion (synchronously), under supervision:
   /// deadline watchdog, bounded retries with backoff, quarantine after
-  /// `max_attempts` failures (see ServerConfig).
+  /// `max_attempts` failures (see ServerConfig). Call it from one thread
+  /// at a time (`Drain` does): it trains the server's surrogate into its
+  /// slot on the calling thread, and pool workers see the model only
+  /// through the `shared_ptr` copies the job's factory captured.
   JobReport RunJob(const PromotionJob& job);
 
   /// Serves `queue` until it is closed and drained, or until a graceful
@@ -169,6 +197,8 @@ class AttackServer {
   core::ModelFactory model_factory_;
   const core::SourceArtifacts& artifacts_;
   ServerConfig config_;
+  /// Filled by the first surrogate-based job; see `RunJob`.
+  SurrogateSlot surrogate_;
   std::size_t jobs_run_ = 0;
   std::size_t jobs_failed_ = 0;
 };

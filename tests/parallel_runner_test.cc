@@ -22,6 +22,7 @@
 namespace copyattack::core {
 namespace {
 
+using testhelpers::ExpectResultsEqual;
 using testhelpers::SharedTinyWorld;
 using testhelpers::TinyWorld;
 
@@ -56,38 +57,6 @@ CampaignConfig SmallCampaign() {
   config.eval_users = 20;
   config.seed = testhelpers::TestSeed(59);
   return config;
-}
-
-void ExpectOutcomesEqual(const TargetOutcomeState& a,
-                         const TargetOutcomeState& b) {
-  EXPECT_EQ(a.final_reward, b.final_reward);
-  EXPECT_EQ(a.profiles_injected, b.profiles_injected);
-  EXPECT_EQ(a.items_per_profile, b.items_per_profile);
-  EXPECT_EQ(a.query_rounds, b.query_rounds);
-  ASSERT_EQ(a.metrics.size(), b.metrics.size());
-  for (const auto& [k, metrics] : a.metrics) {
-    const auto it = b.metrics.find(k);
-    ASSERT_NE(it, b.metrics.end());
-    EXPECT_EQ(metrics.hr, it->second.hr);
-    EXPECT_EQ(metrics.ndcg, it->second.ndcg);
-    EXPECT_EQ(metrics.count, it->second.count);
-  }
-}
-
-void ExpectResultsEqual(const ParallelCampaignResult& a,
-                        const ParallelCampaignResult& b) {
-  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
-  ASSERT_EQ(a.completed, b.completed);
-  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
-    if (a.completed[i] == 0) continue;
-    SCOPED_TRACE("outcome " + std::to_string(i));
-    ExpectOutcomesEqual(a.outcomes[i], b.outcomes[i]);
-  }
-  EXPECT_EQ(a.aggregate.method, b.aggregate.method);
-  EXPECT_EQ(a.aggregate.num_target_items, b.aggregate.num_target_items);
-  EXPECT_EQ(a.aggregate.avg_final_reward, b.aggregate.avg_final_reward);
-  EXPECT_EQ(a.aggregate.avg_profiles_injected,
-            b.aggregate.avg_profiles_injected);
 }
 
 ParallelCampaignResult RunShardedWith(

@@ -1,7 +1,7 @@
 // Tests of the attack-server subsystem (ISSUE 6): promotion-job CSV
 // parsing, the job queue's producer/consumer handshake, the shared
-// strategy dispatch table, and end-to-end job execution with per-job
-// checkpoint/resume.
+// strategy dispatch table, end-to-end job execution with per-job
+// checkpoint/resume, and the one surrogate a server shares across jobs.
 
 #include <cstdint>
 #include <filesystem>
@@ -15,7 +15,9 @@
 
 #include <gtest/gtest.h>
 
+#include "attack/surrogate.h"
 #include "core/parallel_runner.h"
+#include "obs/obs.h"
 #include "serve/attack_server.h"
 #include "serve/job_queue.h"
 #include "test_helpers.h"
@@ -24,6 +26,7 @@
 namespace copyattack::serve {
 namespace {
 
+using testhelpers::ExpectResultsEqual;
 using testhelpers::SharedTinyWorld;
 using testhelpers::TinyWorld;
 
@@ -310,6 +313,119 @@ TEST(AttackServerTest, JobCheckpointResumeMatchesUninterruptedJob) {
     EXPECT_EQ(metrics.hr, it->second.hr);
     EXPECT_EQ(metrics.ndcg, it->second.ndcg);
   }
+}
+
+/// What one surrogate training adds to `attack.surrogate_epochs`; 0 with
+/// observability compiled out, where the counter never moves.
+std::uint64_t OneTrainingEpochs() {
+#if defined(COPYATTACK_OBS_DISABLED)
+  return 0;
+#else
+  return attack::SurrogateConfig{}.epochs;
+#endif
+}
+
+/// `attack.surrogate_epochs` counted over `body` with telemetry on.
+template <typename Body>
+std::uint64_t SurrogateEpochsDuring(Body body) {
+  obs::Counter& epochs =
+      obs::MetricsRegistry::Global().GetCounter("attack.surrogate_epochs");
+  epochs.Reset();
+  obs::SetEnabled(true);
+  body();
+  obs::SetEnabled(false);
+  obs::TraceRecorder::Global().Clear();
+  return epochs.Value();
+}
+
+TEST(AttackServerTest, SurrogateJobsShareOneModelAndMatchSeparateServers) {
+  const TinyWorld& world = SharedTinyWorld();
+  PromotionJob second_transfer = TestJob("transfer-2", "surrogate_transfer");
+  second_transfer.seed = testhelpers::TestSeed(89);
+  const std::vector<PromotionJob> jobs = {
+      TestJob("transfer-1", "surrogate_transfer"),
+      TestJob("influence", "influence"),
+      TestJob("masking", "CopyAttack-Masking"), second_transfer};
+
+  // One server drains the whole queue...
+  std::vector<JobReport> shared;
+  const std::uint64_t shared_epochs = SurrogateEpochsDuring([&] {
+    AttackServer server(world.world.dataset, world.split.train,
+                        world.ModelFactory(), world.artifacts,
+                        TestServerConfig());
+    JobQueue queue;
+    for (const PromotionJob& job : jobs) queue.Push(job);
+    queue.Close();
+    shared = server.Drain(&queue);
+  });
+  // ...and each job is served alone by a fresh server.
+  std::vector<JobReport> separate;
+  const std::uint64_t separate_epochs = SurrogateEpochsDuring([&] {
+    for (const PromotionJob& job : jobs) {
+      AttackServer server(world.world.dataset, world.split.train,
+                          world.ModelFactory(), world.artifacts,
+                          TestServerConfig());
+      separate.push_back(server.RunJob(job));
+    }
+  });
+
+  ASSERT_EQ(shared.size(), jobs.size());
+  ASSERT_EQ(separate.size(), jobs.size());
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    SCOPED_TRACE(jobs[i].id);
+    ASSERT_TRUE(shared[i].ok) << shared[i].error;
+    ASSERT_TRUE(separate[i].ok) << separate[i].error;
+    ExpectResultsEqual(shared[i].result, separate[i].result);
+  }
+  // The shared server trains once; a server per job trains once for each
+  // of the three surrogate-based jobs.
+  EXPECT_EQ(shared_epochs, OneTrainingEpochs());
+  EXPECT_EQ(separate_epochs, 3 * OneTrainingEpochs());
+}
+
+TEST(AttackServerTest, SurrogateJobResumesOnServerHoldingAnotherJobsModel) {
+  const TinyWorld& world = SharedTinyWorld();
+  const PromotionJob job = TestJob("resumable-transfer", "surrogate_transfer");
+
+  // Reference: the job runs straight through on a fresh server.
+  AttackServer plain(world.world.dataset, world.split.train,
+                     world.ModelFactory(), world.artifacts,
+                     TestServerConfig());
+  const JobReport reference = plain.RunJob(job);
+  ASSERT_TRUE(reference.ok);
+  ASSERT_FALSE(reference.result.aggregate.aborted);
+
+  // The crash hook cuts every run on this server after three episodes:
+  // the influence job plays two and completes, training the surrogate;
+  // the transfer job (two targets, two episodes each) is cut inside its
+  // second target and then resumes on the same server.
+  const std::string root = FreshDir("attack_server_surrogate_resume");
+  ServerConfig config = TestServerConfig();
+  config.checkpoint_root = root;
+  config.resume = true;
+  config.runner.checkpoint.abort_after_episodes = 3;
+  AttackServer server(world.world.dataset, world.split.train,
+                      world.ModelFactory(), world.artifacts, config);
+  PromotionJob influence = TestJob("warm-up", "influence");
+  influence.num_targets = 1;
+
+  JobReport warm_up, aborted, resumed;
+  const std::uint64_t epochs = SurrogateEpochsDuring([&] {
+    warm_up = server.RunJob(influence);
+    aborted = server.RunJob(job);
+    resumed = server.RunJob(job);
+  });
+  ASSERT_TRUE(warm_up.ok);
+  ASSERT_FALSE(warm_up.result.aggregate.aborted);
+  ASSERT_TRUE(aborted.ok);
+  EXPECT_TRUE(aborted.result.aggregate.aborted);
+  ASSERT_TRUE(resumed.ok);
+  EXPECT_FALSE(resumed.result.aggregate.aborted);
+  EXPECT_NE(resumed.result.aggregate.resumed_from,
+            core::CheckpointSource::kNone);
+  ExpectResultsEqual(resumed.result, reference.result);
+  // Only the influence job trained: both transfer runs reused its model.
+  EXPECT_EQ(epochs, OneTrainingEpochs());
 }
 
 // ---------------------------------------------------------------------------

@@ -3,8 +3,12 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 
+#include <gtest/gtest.h>
+
+#include "core/parallel_runner.h"
 #include "core/runner.h"
 #include "data/dataset.h"
 #include "data/synthetic.h"
@@ -55,6 +59,50 @@ struct TinyWorld {
 inline const TinyWorld& SharedTinyWorld() {
   static const TinyWorld* const world = new TinyWorld();
   return *world;
+}
+
+/// Per-k HR/NDCG of two results match exactly.
+inline void ExpectMetricsEqual(const rec::MetricsByK& a,
+                               const rec::MetricsByK& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (const auto& [k, metrics] : a) {
+    const auto it = b.find(k);
+    ASSERT_NE(it, b.end());
+    EXPECT_EQ(metrics.hr, it->second.hr);
+    EXPECT_EQ(metrics.ndcg, it->second.ndcg);
+    EXPECT_EQ(metrics.count, it->second.count);
+  }
+}
+
+inline void ExpectOutcomesEqual(const core::TargetOutcomeState& a,
+                                const core::TargetOutcomeState& b) {
+  EXPECT_EQ(a.final_reward, b.final_reward);
+  EXPECT_EQ(a.profiles_injected, b.profiles_injected);
+  EXPECT_EQ(a.items_per_profile, b.items_per_profile);
+  EXPECT_EQ(a.query_rounds, b.query_rounds);
+  ExpectMetricsEqual(a.metrics, b.metrics);
+}
+
+/// Two campaign runs are bit-identical: every completed target's outcome
+/// and the aggregate row (wall time and checkpoint bookkeeping aside).
+inline void ExpectResultsEqual(const core::ParallelCampaignResult& a,
+                               const core::ParallelCampaignResult& b) {
+  ASSERT_EQ(a.outcomes.size(), b.outcomes.size());
+  ASSERT_EQ(a.completed, b.completed);
+  for (std::size_t i = 0; i < a.outcomes.size(); ++i) {
+    if (a.completed[i] == 0) continue;
+    SCOPED_TRACE("outcome " + std::to_string(i));
+    ExpectOutcomesEqual(a.outcomes[i], b.outcomes[i]);
+  }
+  EXPECT_EQ(a.aggregate.method, b.aggregate.method);
+  EXPECT_EQ(a.aggregate.num_target_items, b.aggregate.num_target_items);
+  EXPECT_EQ(a.aggregate.avg_final_reward, b.aggregate.avg_final_reward);
+  EXPECT_EQ(a.aggregate.avg_profiles_injected,
+            b.aggregate.avg_profiles_injected);
+  EXPECT_EQ(a.aggregate.avg_items_per_profile,
+            b.aggregate.avg_items_per_profile);
+  EXPECT_EQ(a.aggregate.avg_query_rounds, b.aggregate.avg_query_rounds);
+  ExpectMetricsEqual(a.aggregate.metrics, b.aggregate.metrics);
 }
 
 /// `num_users` users, each holding `profile_len` distinct items drawn
