@@ -172,6 +172,35 @@ TEST_F(GoldenOutcomeTest, PolicyNetwork) {
                         0x1.9999999999999p-2, 0x1.2p+3, 0x1.2p+3});
 }
 
+// The attack zoo, built the way every campaign path builds it: one
+// surrogate trained on the observable target domain from its fixed seed,
+// with the zoo's default hyper-parameters.
+CampaignResult RunZooMethod(const std::string& method) {
+  const auto& tw = SharedTinyWorld();
+  const serve::StrategySpec spec =
+      serve::MakeStrategyFactory(tw.world.dataset, tw.artifacts, method);
+  EXPECT_TRUE(spec.factory) << spec.error;
+  return RunCampaign(tw.world.dataset, tw.split.train, tw.ModelFactory(),
+                     spec.factory, GoldenTargets(), GoldenCampaign());
+}
+
+TEST_F(GoldenOutcomeTest, SurrogateTransfer) {
+  const CampaignResult result = RunZooMethod("SurrogateTransfer");
+  EXPECT_EQ(result.method, "SurrogateTransfer");
+  ExpectGolden(result, {0x1.9a67c34a7e107p-2, 0x1.5eff49a00ae71p-3,
+                        0x1.d3aa78728ffcdp-6, 0x1.d2e1bef580804p-4,
+                        0x1.cb317e3753afbp-5, 0x1.7a5777c90ab8fp-7,
+                        0x1.dddddddddddddp-2, 0x1.2p+3, 0x1.2p+3});
+}
+
+TEST_F(GoldenOutcomeTest, Influence) {
+  const CampaignResult result = RunZooMethod("Influence");
+  EXPECT_EQ(result.method, "Influence");
+  ExpectGolden(result, {0x1.8ee20c53e0a78p-3, 0x1.78a4c8178a4c8p-5, 0x0p+0,
+                        0x1.aa4012a17b3c9p-5, 0x1.e4af59e50d204p-7, 0x0p+0,
+                        0x1.1111111111111p-2, 0x1.2p+3, 0x1.2p+3});
+}
+
 TEST_F(GoldenOutcomeTest, TargetAttackUnderAggressiveFaults) {
   const auto& tw = SharedTinyWorld();
   CampaignConfig config = GoldenCampaign();
