@@ -157,17 +157,17 @@ void BM_PinSageTrainEpoch(benchmark::State& state) {
 }
 BENCHMARK(BM_PinSageTrainEpoch)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-// One whole attacker surrogate (attack/surrogate.h): `epochs` MF epochs
-// over the target domain with the default config, as the attack server
-// trains it for its first surrogate-based job.
+// One whole attacker surrogate (attack/surrogate.h): `kEpochs` MF epochs
+// over the target domain, as the attack server trains it for its first
+// surrogate-based job.
 void BM_SurrogateTrain(benchmark::State& state) {
   const data::Dataset& observable = LargeWorld().dataset.target;
-  const attack::SurrogateConfig config;
   for (auto _ : state) {
-    const attack::TargetSurrogate surrogate(observable, config);
+    const attack::TargetSurrogate surrogate(observable);
     benchmark::DoNotOptimize(surrogate.item_embeddings().data());
   }
-  state.SetItemsProcessed(state.iterations() * config.epochs *
+  state.SetItemsProcessed(state.iterations() *
+                          attack::TargetSurrogate::kEpochs *
                           observable.num_interactions());
 }
 BENCHMARK(BM_SurrogateTrain)->Unit(benchmark::kMillisecond)->UseRealTime();

@@ -14,16 +14,25 @@
 
 namespace copyattack::attack {
 
+namespace {
+
+/// Fraction of each candidate profile kept around the target item when
+/// crafting the injected window (cf. TargetAttack's keep fraction).
+constexpr double kKeepFraction = 0.7;
+static_assert(kKeepFraction > 0.0 && kKeepFraction <= 1.0);
+
+/// Cap on the candidate source holders scored per target item.
+constexpr std::size_t kMaxCandidates = 512;
+
+}  // namespace
+
 InfluenceAttack::InfluenceAttack(
     const data::CrossDomainDataset* dataset,
-    std::shared_ptr<const TargetSurrogate> surrogate,
-    const InfluenceConfig& config, std::uint64_t seed)
-    : dataset_(dataset), surrogate_(std::move(surrogate)), config_(config) {
+    std::shared_ptr<const TargetSurrogate> surrogate, std::uint64_t seed)
+    : dataset_(dataset), surrogate_(std::move(surrogate)) {
   (void)seed;  // the analytic pick is deterministic; kept for factory parity
   CA_CHECK(dataset_ != nullptr);
   CA_CHECK(surrogate_ != nullptr);
-  CA_CHECK_GT(config_.keep_fraction, 0.0);
-  CA_CHECK_LE(config_.keep_fraction, 1.0);
   CA_CHECK_EQ(surrogate_->num_items(), dataset_->target.num_items());
 }
 
@@ -33,10 +42,7 @@ void InfluenceAttack::BeginTargetItem(data::ItemId target_item) {
   std::vector<data::UserId> candidates = dataset_->SourceHolders(target_item);
   CA_CHECK(!candidates.empty())
       << "target item " << target_item << " has no source holders";
-  if (config_.max_candidates > 0 &&
-      candidates.size() > config_.max_candidates) {
-    candidates.resize(config_.max_candidates);
-  }
+  if (candidates.size() > kMaxCandidates) candidates.resize(kMaxCandidates);
 
   // Score each candidate by the influence estimate ⟨v̄, μ_P⟩ of its
   // *crafted* profile (the window actually injected), then rank
@@ -47,8 +53,7 @@ void InfluenceAttack::BeginTargetItem(data::ItemId target_item) {
   scored.reserve(candidates.size());
   for (const data::UserId user : candidates) {
     const data::Profile window = core::ClipProfileAroundTarget(
-        dataset_->source.UserProfile(user), target_item_,
-        config_.keep_fraction);
+        dataset_->source.UserProfile(user), target_item_, kKeepFraction);
     const std::vector<float> fold_in = surrogate_->FoldInProfile(window);
     double influence = 0.0;
     for (std::size_t c = 0; c < fold_in.size(); ++c) {
@@ -81,8 +86,7 @@ double InfluenceAttack::RunEpisode(core::AttackEnvironment& env,
     const data::UserId user = ranked_[position % ranked_.size()];
     ++position;
     data::Profile crafted = core::ClipProfileAroundTarget(
-        dataset_->source.UserProfile(user), target_item_,
-        config_.keep_fraction);
+        dataset_->source.UserProfile(user), target_item_, kKeepFraction);
     const auto result = env.Step(std::move(crafted));
     if (result.queried) {
       last_reward = result.reward;

@@ -13,15 +13,6 @@
 
 namespace copyattack::attack {
 
-/// Hyper-parameters of the influence-function attacker.
-struct InfluenceConfig {
-  /// Fraction of each candidate profile kept around the target item when
-  /// crafting the injected window (cf. TargetAttack's keep fraction).
-  double keep_fraction = 0.7;
-  /// Cap on the candidate source holders scored per target item (0 = all).
-  std::size_t max_candidates = 512;
-};
-
 /// Influence-function profile selection (after arXiv:2002.08025): instead
 /// of learning which cross-domain profiles to copy, rank every candidate
 /// by a first-order estimate of its effect on the target item's exposure
@@ -47,7 +38,7 @@ class InfluenceAttack CA_CHECKPOINTED(InfluenceAttack::SaveState,
   /// shared read-only between every per-target instance of a campaign.
   InfluenceAttack(const data::CrossDomainDataset* dataset,
                   std::shared_ptr<const TargetSurrogate> surrogate,
-                  const InfluenceConfig& config, std::uint64_t seed);
+                  std::uint64_t seed);
 
   std::string name() const override { return "Influence"; }
   void BeginTargetItem(data::ItemId target_item) override;
@@ -71,8 +62,6 @@ class InfluenceAttack CA_CHECKPOINTED(InfluenceAttack::SaveState,
       CA_NOT_CHECKPOINTED("borrowed pointer, rebound at construction");
   std::shared_ptr<const TargetSurrogate> surrogate_ CA_NOT_CHECKPOINTED(
       "shared read-only model, deterministically retrained at construction");
-  InfluenceConfig config_ CA_NOT_CHECKPOINTED(
-      "configuration, part of the campaign fingerprint, not mutable state");
 
   std::size_t cursor_ = 0;
   double best_reward_ = -1.0;

@@ -1,5 +1,7 @@
 #include "attack/surrogate.h"
 
+#include <cstdint>
+
 #include "obs/obs.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -8,23 +10,19 @@ namespace copyattack::attack {
 
 namespace {
 
-rec::MfConfig MakeMfConfig(const SurrogateConfig& config) {
-  rec::MfConfig mf_config;
-  mf_config.embedding_dim = config.embedding_dim;
-  return mf_config;
-}
+/// Fixed training seed — NOT derived from the campaign seed (see the
+/// class comment).
+constexpr std::uint64_t kSeed = 0x5A11E27ULL;
 
 }  // namespace
 
-TargetSurrogate::TargetSurrogate(const data::Dataset& observable,
-                                 const SurrogateConfig& config)
-    : mf_(MakeMfConfig(config)) {
+TargetSurrogate::TargetSurrogate(const data::Dataset& observable) {
   OBS_SPAN("attack.surrogate_train");
   CA_CHECK_GT(observable.num_users(), 0U)
       << "surrogate needs observable interactions to train on";
-  util::Rng rng(config.seed);
+  util::Rng rng(kSeed);
   mf_.InitTraining(observable, rng);
-  for (std::size_t epoch = 0; epoch < config.epochs; ++epoch) {
+  for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
     mf_.TrainEpoch(observable, rng);
     OBS_COUNTER_INC("attack.surrogate_epochs");
   }

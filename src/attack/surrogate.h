@@ -1,7 +1,7 @@
 #ifndef COPYATTACK_ATTACK_SURROGATE_H_
 #define COPYATTACK_ATTACK_SURROGATE_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "data/dataset.h"
@@ -11,25 +11,6 @@
 
 namespace copyattack::attack {
 
-/// Training budget of the attacker's local surrogate. The surrogate is
-/// trained from a fixed seed, so every copy built from one (dataset,
-/// config) is the identical model: every shard of a sharded campaign,
-/// every resume of a checkpointed one and every job of an attack server
-/// (which trains it once and shares it, `serve::SurrogateSlot`) see the
-/// same surrogate. Attack outcomes stay bit-identical across shard
-/// counts, kill-and-resume and whichever job trained it, without the
-/// surrogate ever being part of a checkpoint.
-struct SurrogateConfig {
-  std::size_t embedding_dim = 8;
-  /// BPR epochs over the observable interactions. Deliberately small: the
-  /// surrogate only has to rank items roughly like the target model does,
-  /// and its cost is pure attacker overhead (`attack.surrogate_epochs`
-  /// counts it toward --telemetry_out).
-  std::size_t epochs = 12;
-  /// Fixed training seed — NOT derived from the campaign seed, see above.
-  std::uint64_t seed = 0x5A11E27ULL;
-};
-
 /// The attacker's local stand-in for the black-box target recommender
 /// (arXiv:2008.04876's "surrogate then transfer" setup): a BPR matrix
 /// factorization fitted on the target-domain interactions the attacker can
@@ -38,15 +19,28 @@ struct SurrogateConfig {
 ///
 /// Read-only after construction; one instance is shared by every
 /// per-target strategy the factory creates.
+///
+/// The surrogate is trained from a fixed seed, so every copy built from
+/// one dataset is the identical model: every shard of a sharded campaign,
+/// every resume of a checkpointed one and every job of an attack server
+/// (which trains it once and shares it, `serve::SurrogateSlot`) see the
+/// same surrogate. Attack outcomes stay bit-identical across shard
+/// counts, kill-and-resume and whichever job trained it, without the
+/// surrogate ever being part of a checkpoint.
 class TargetSurrogate {
  public:
+  /// BPR epochs over the observable interactions. Deliberately small: the
+  /// surrogate only has to rank items roughly like the target model does,
+  /// and its cost is pure attacker overhead (`attack.surrogate_epochs`
+  /// counts it toward --telemetry_out).
+  static constexpr std::size_t kEpochs = 12;
+
   /// Trains the surrogate on `observable` (the attacker's scrape of the
-  /// target domain): `config.epochs` MF `TrainEpoch`s, each of which runs
-  /// its BPR draws on a producer thread of its own (rec/bpr_draws.h), so
+  /// target domain): `kEpochs` MF `TrainEpoch`s, each of which runs its
+  /// BPR draws on a producer thread of its own (rec/bpr_draws.h), so
   /// constructing one from a pool worker starts one extra thread at a
   /// time. The model is bit-identical to a sequential fit.
-  TargetSurrogate(const data::Dataset& observable,
-                  const SurrogateConfig& config);
+  explicit TargetSurrogate(const data::Dataset& observable);
 
   const math::Matrix& item_embeddings() const {
     return mf_.item_embeddings();

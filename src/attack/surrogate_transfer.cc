@@ -16,6 +16,22 @@ namespace copyattack::attack {
 
 namespace {
 
+/// Gradient-ascent steps per crafted profile.
+constexpr std::size_t kAscentSteps = 24;
+/// Base step size of the ascent (scaled by the learned step scale).
+constexpr float kStepSize = 0.35f;
+/// L2 pull toward the genuine seed embedding — keeps the virtual user on
+/// the data manifold so the discretized profile stays plausible.
+constexpr float kAnchorWeight = 0.08f;
+/// Popular items the target must outrank in the BPR-style objective.
+constexpr std::size_t kPopularNegatives = 32;
+/// Multiplied into the step scale after an episode that fails to improve
+/// the best reward (simulated-annealing style refinement).
+constexpr double kStepDecay = 0.7;
+
+static_assert(SurrogateTransferAttack::kProfileLength > 1);
+static_assert(kAscentSteps > 0);
+
 float Dot(const std::vector<float>& u, const float* v) {
   float dot = 0.0f;
   for (std::size_t c = 0; c < u.size(); ++c) dot += u[c] * v[c];
@@ -26,16 +42,10 @@ float Dot(const std::vector<float>& u, const float* v) {
 
 SurrogateTransferAttack::SurrogateTransferAttack(
     const data::CrossDomainDataset* dataset,
-    std::shared_ptr<const TargetSurrogate> surrogate,
-    const SurrogateTransferConfig& config, std::uint64_t seed)
-    : dataset_(dataset),
-      surrogate_(std::move(surrogate)),
-      config_(config),
-      ascent_rng_(seed) {
+    std::shared_ptr<const TargetSurrogate> surrogate, std::uint64_t seed)
+    : dataset_(dataset), surrogate_(std::move(surrogate)), ascent_rng_(seed) {
   CA_CHECK(dataset_ != nullptr);
   CA_CHECK(surrogate_ != nullptr);
-  CA_CHECK_GT(config_.profile_length, 1U);
-  CA_CHECK_GT(config_.ascent_steps, 0U);
   CA_CHECK_EQ(surrogate_->num_items(), dataset_->target.num_items());
 }
 
@@ -45,7 +55,7 @@ void SurrogateTransferAttack::BeginTargetItem(data::ItemId target_item) {
   for (const data::ItemId item : dataset_->target.ItemsByPopularity()) {
     if (item == target_item_) continue;
     popular_items_.push_back(item);
-    if (popular_items_.size() >= config_.popular_negatives) break;
+    if (popular_items_.size() >= kPopularNegatives) break;
   }
   CA_CHECK(!popular_items_.empty())
       << "surrogate-transfer needs popular items to rank the target against";
@@ -66,10 +76,9 @@ data::Profile SurrogateTransferAttack::CraftProfile(data::UserId seed_user,
   // BPR-style ascent: push the target item's score above the popular
   // items', anchored to the genuine embedding.
   const float* q_target = items.Row(target_item_);
-  const float step =
-      config_.step_size * static_cast<float>(step_scale_);
+  const float step = kStepSize * static_cast<float>(step_scale_);
   std::vector<float> grad(dim);
-  for (std::size_t s = 0; s < config_.ascent_steps; ++s) {
+  for (std::size_t s = 0; s < kAscentSteps; ++s) {
     std::fill(grad.begin(), grad.end(), 0.0f);
     const float target_score = Dot(u, q_target);
     for (const data::ItemId popular : popular_items_) {
@@ -83,11 +92,11 @@ data::Profile SurrogateTransferAttack::CraftProfile(data::UserId seed_user,
     const float scale = 1.0f / static_cast<float>(popular_items_.size());
     for (std::size_t c = 0; c < dim; ++c) {
       grad[c] = grad[c] * scale -
-                2.0f * config_.anchor_weight * (u[c] - anchor[c]);
+                2.0f * kAnchorWeight * (u[c] - anchor[c]);
       u[c] += step * grad[c];
     }
   }
-  OBS_COUNTER_ADD("attack.ascent_steps", config_.ascent_steps);
+  OBS_COUNTER_ADD("attack.ascent_steps", kAscentSteps);
 
   // Discretize: the target item plus the optimized embedding's nearest
   // items (ties on item id so the profile is platform-independent).
@@ -98,8 +107,7 @@ data::Profile SurrogateTransferAttack::CraftProfile(data::UserId seed_user,
     if (item == target_item_) continue;
     scored.emplace_back(Dot(u, items.Row(item)), item);
   }
-  const std::size_t keep =
-      std::min(config_.profile_length - 1, scored.size());
+  const std::size_t keep = std::min(kProfileLength - 1, scored.size());
   std::partial_sort(scored.begin(),
                     scored.begin() + static_cast<std::ptrdiff_t>(keep),
                     scored.end(),
@@ -148,7 +156,7 @@ double SurrogateTransferAttack::RunEpisode(core::AttackEnvironment& env,
       best_seed_user_ = episode_seed_user;
     } else {
       step_scale_ =
-          std::max(config_.min_step_scale, step_scale_ * config_.step_decay);
+          std::max(kMinStepScale, step_scale_ * kStepDecay);
     }
   }
   return last_reward;

@@ -1,6 +1,7 @@
 #ifndef COPYATTACK_ATTACK_SURROGATE_TRANSFER_H_
 #define COPYATTACK_ATTACK_SURROGATE_TRANSFER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -13,25 +14,6 @@
 #include "util/rng.h"
 
 namespace copyattack::attack {
-
-/// Hyper-parameters of the surrogate-transfer attacker.
-struct SurrogateTransferConfig {
-  /// Gradient-ascent steps per crafted profile.
-  std::size_t ascent_steps = 24;
-  /// Base step size of the ascent (scaled by the learned step scale).
-  float step_size = 0.35f;
-  /// L2 pull toward the genuine seed embedding — keeps the virtual user on
-  /// the data manifold so the discretized profile stays plausible.
-  float anchor_weight = 0.08f;
-  /// Items per crafted profile, including the target item.
-  std::size_t profile_length = 16;
-  /// Popular items the target must outrank in the BPR-style objective.
-  std::size_t popular_negatives = 32;
-  /// Multiplied into the step scale after an episode that fails to improve
-  /// the best reward (simulated-annealing style refinement).
-  double step_decay = 0.7;
-  double min_step_scale = 0.05;
-};
 
 /// Surrogate-then-transfer adversarial injection (after arXiv:2008.04876):
 /// the attacker trains a local MF surrogate on the observable
@@ -48,11 +30,15 @@ class SurrogateTransferAttack
                     SurrogateTransferAttack::LoadState)
     final : public core::AttackStrategy {
  public:
+  /// Items per crafted profile, including the target item.
+  static constexpr std::size_t kProfileLength = 16;
+  /// Floor of the ascent step scale.
+  static constexpr double kMinStepScale = 0.05;
+
   /// `dataset` is borrowed and must outlive the strategy; the surrogate is
   /// shared read-only between every per-target instance of a campaign.
   SurrogateTransferAttack(const data::CrossDomainDataset* dataset,
                           std::shared_ptr<const TargetSurrogate> surrogate,
-                          const SurrogateTransferConfig& config,
                           std::uint64_t seed);
 
   std::string name() const override { return "SurrogateTransfer"; }
@@ -78,8 +64,6 @@ class SurrogateTransferAttack
       CA_NOT_CHECKPOINTED("borrowed pointer, rebound at construction");
   std::shared_ptr<const TargetSurrogate> surrogate_ CA_NOT_CHECKPOINTED(
       "shared read-only model, deterministically retrained at construction");
-  SurrogateTransferConfig config_ CA_NOT_CHECKPOINTED(
-      "configuration, part of the campaign fingerprint, not mutable state");
 
   double step_scale_ = 1.0;
   double best_reward_ = -1.0;
@@ -91,7 +75,7 @@ class SurrogateTransferAttack
       CA_NOT_CHECKPOINTED("per-target, reset by BeginTargetItem") =
           data::kNoItem;
   /// Head of the popularity ranking the target must outrank; derived in
-  /// BeginTargetItem, deterministic in (dataset, config).
+  /// BeginTargetItem, deterministic in the dataset.
   std::vector<data::ItemId> popular_items_
       CA_NOT_CHECKPOINTED("per-target, derived in BeginTargetItem");
   bool eval_mode_ CA_NOT_CHECKPOINTED("transient evaluation toggle") = false;

@@ -13,6 +13,17 @@
 
 namespace copyattack::core {
 
+namespace {
+
+/// Discount factor γ of the MDP (paper §5.1.3 sets 0.6).
+constexpr double kGamma = 0.6;
+/// Global-norm gradient clip of both policies' updates.
+constexpr float kClipNorm = 5.0f;
+/// Momentum of the moving-average reward baseline.
+constexpr double kBaselineMomentum = 0.7;
+
+}  // namespace
+
 std::shared_ptr<const cluster::HierarchicalTree> BuildFlatTree(
     const math::Matrix& user_embeddings) {
   util::Rng unused(0);  // a depth-1 build makes no k-means draws
@@ -28,16 +39,14 @@ CopyAttack::CopyAttack(const data::CrossDomainDataset* dataset,
     : dataset_(dataset),
       tree_(tree),
       config_(config),
-      baseline_(config.baseline_momentum) {
+      baseline_(kBaselineMomentum) {
   CA_CHECK(dataset != nullptr);
   CA_CHECK(tree != nullptr);
-  config_.selection.entropy_beta = config.entropy_beta;
-  config_.crafting.entropy_beta = config.entropy_beta;
   util::Rng init_rng(seed);
   selection_ = std::make_unique<HierarchicalSelectionPolicy>(
       tree, user_embeddings, item_embeddings, config_.selection, init_rng);
-  crafting_ = std::make_unique<CraftingPolicy>(
-      user_embeddings, item_embeddings, config_.crafting, init_rng);
+  crafting_ = std::make_unique<CraftingPolicy>(user_embeddings,
+                                               item_embeddings, init_rng);
 }
 
 CopyAttack::CopyAttack(const data::CrossDomainDataset* dataset,
@@ -59,7 +68,7 @@ std::string CopyAttack::name() const {
 
 void CopyAttack::BeginTargetItem(data::ItemId target_item) {
   target_item_ = target_item;
-  baseline_ = nn::MovingBaseline(config_.baseline_momentum);
+  baseline_ = nn::MovingBaseline(kBaselineMomentum);
 
   // Proxy extension: when the target item cannot be anchored in the
   // source domain, select and craft around its most co-occurring
@@ -248,8 +257,7 @@ void CopyAttack::UpdatePolicies(
   for (const TrajectoryStep& step : trajectory) {
     rewards.push_back(step.reward);
   }
-  const std::vector<double> returns =
-      nn::DiscountedReturns(rewards, config_.gamma);
+  const std::vector<double> returns = nn::DiscountedReturns(rewards, kGamma);
 
   const double baseline_value = baseline_.value();
   baseline_.Update(returns.front());
@@ -265,8 +273,8 @@ void CopyAttack::UpdatePolicies(
     }
   }
   OBS_SPAN("attack.policy_update");
-  selection_->ApplyUpdates(config_.learning_rate, config_.clip_norm);
-  crafting_->ApplyUpdates(config_.learning_rate, config_.clip_norm);
+  selection_->ApplyUpdates(config_.learning_rate, kClipNorm);
+  crafting_->ApplyUpdates(config_.learning_rate, kClipNorm);
 }
 
 }  // namespace copyattack::core

@@ -32,18 +32,10 @@ enum class RewardShaping {
 
 /// Hyper-parameters of the CopyAttack agent.
 struct CopyAttackConfig {
-  /// Discount factor γ of the MDP (paper §5.1.3 sets 0.6).
-  double gamma = 0.6;
   /// Reward construction from the query feedback.
   RewardShaping reward_shaping = RewardShaping::kDeltaHitRatio;
   /// SGD learning rate of the policy updates.
   float learning_rate = 0.15f;
-  /// Global-norm gradient clip (0 disables).
-  float clip_norm = 5.0f;
-  /// Entropy regularization for both policies.
-  double entropy_beta = 0.003;
-  /// Momentum of the moving-average reward baseline.
-  double baseline_momentum = 0.7;
 
   /// Ablation switches (Table 2 rows "CopyAttack-Masking" and
   /// "CopyAttack-Length"):
@@ -61,7 +53,6 @@ struct CopyAttackConfig {
   bool allow_proxy = false;
 
   HierarchicalSelectionPolicy::Config selection;
-  CraftingPolicy::Config crafting;
 };
 
 /// The tree of the "PolicyNetwork" baseline (paper §5.1.4): a root with

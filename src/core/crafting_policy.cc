@@ -9,21 +9,30 @@
 
 namespace copyattack::core {
 
+namespace {
+
+/// Hidden width of the MLP and the standard deviation of its Gaussian
+/// initial weights.
+constexpr std::size_t kMlpHiddenDim = 16;
+constexpr float kInitStddev = 0.1f;
+/// Entropy regularization (CopyAttack's, shared with the selection
+/// policy).
+constexpr double kEntropyBeta = 0.003;
+
+}  // namespace
+
 CraftingPolicy::CraftingPolicy(const math::Matrix* user_embeddings,
                                const math::Matrix* item_embeddings,
-                               const Config& config, util::Rng& rng)
-    : user_embeddings_(user_embeddings),
-      item_embeddings_(item_embeddings),
-      config_(config) {
+                               util::Rng& rng)
+    : user_embeddings_(user_embeddings), item_embeddings_(item_embeddings) {
   CA_CHECK(user_embeddings != nullptr);
   CA_CHECK(item_embeddings != nullptr);
   const std::size_t state_dim =
       user_embeddings->cols() + item_embeddings->cols();
   mlp_ = std::make_unique<nn::Mlp>(
       "crafting/mlp",
-      std::vector<std::size_t>{state_dim, config.mlp_hidden_dim,
-                               kNumCraftLevels},
-      rng, nn::Activation::kRelu, config.init_stddev);
+      std::vector<std::size_t>{state_dim, kMlpHiddenDim, kNumCraftLevels},
+      rng, nn::Activation::kRelu, kInitStddev);
 }
 
 std::vector<float> CraftingPolicy::StateVector(data::UserId user) const {
@@ -61,7 +70,7 @@ void CraftingPolicy::AccumulateGradients(const CraftStepRecord& record,
   math::SoftmaxInPlace(probs);
   std::vector<float> dlogits =
       nn::PolicyGradientLogits(probs, record.action, advantage);
-  nn::AddEntropyBonusGrad(probs, config_.entropy_beta,
+  nn::AddEntropyBonusGrad(probs, kEntropyBeta,
                           std::vector<bool>(probs.size(), true), dlogits);
   mlp_->Backward(ctx, dlogits, nullptr);
 }

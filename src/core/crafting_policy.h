@@ -23,17 +23,10 @@ struct CraftStepRecord {
 /// profile to keep around the target item.
 class CraftingPolicy {
  public:
-  struct Config {
-    std::size_t mlp_hidden_dim = 16;
-    float init_stddev = 0.1f;
-    double entropy_beta = 0.01;
-  };
-
   /// Embeddings are the frozen pre-trained source-domain MF factors
   /// (borrowed; must outlive the policy).
   CraftingPolicy(const math::Matrix* user_embeddings,
-                 const math::Matrix* item_embeddings, const Config& config,
-                 util::Rng& rng);
+                 const math::Matrix* item_embeddings, util::Rng& rng);
 
   /// Installs the target item.
   void SetTargetItem(data::ItemId item) { target_item_ = item; }
@@ -57,7 +50,6 @@ class CraftingPolicy {
 
   const math::Matrix* user_embeddings_;
   const math::Matrix* item_embeddings_;
-  Config config_;
   std::unique_ptr<nn::Mlp> mlp_;
   data::ItemId target_item_ = data::kNoItem;
 };

@@ -20,6 +20,10 @@ namespace {
 
 constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
 
+/// Entropy regularization of the node policies (CopyAttack's, shared
+/// with the crafting policy).
+constexpr double kEntropyBeta = 0.003;
+
 }  // namespace
 
 HierarchicalSelectionPolicy::HierarchicalSelectionPolicy(
@@ -28,23 +32,22 @@ HierarchicalSelectionPolicy::HierarchicalSelectionPolicy(
     const Config& config, util::Rng& rng)
     : tree_(tree),
       user_embeddings_(user_embeddings),
-      item_embeddings_(item_embeddings),
-      config_(config) {
+      item_embeddings_(item_embeddings) {
   CA_CHECK(tree != nullptr);
   CA_CHECK(user_embeddings != nullptr);
   CA_CHECK(item_embeddings != nullptr);
   CA_CHECK_EQ(user_embeddings->rows(), tree->num_leaves());
 
   const std::size_t embed_dim = item_embeddings->cols();
-  state_dim_ = embed_dim + config.rnn_hidden_dim;
+  state_dim_ = embed_dim + kRnnHiddenDim;
   if (config.encoder == SequenceEncoderType::kGru) {
     gru_ = std::make_unique<nn::GruEncoder>(
-        "selection/gru", user_embeddings->cols(), config.rnn_hidden_dim,
-        rng, config.init_stddev);
+        "selection/gru", user_embeddings->cols(), kRnnHiddenDim, rng,
+        kInitStddev);
   } else {
     rnn_ = std::make_unique<nn::RnnEncoder>(
-        "selection/rnn", user_embeddings->cols(), config.rnn_hidden_dim,
-        rng, config.init_stddev);
+        "selection/rnn", user_embeddings->cols(), kRnnHiddenDim, rng,
+        kInitStddev);
   }
 
   // One policy MLP per internal node, output arity = its child count.
@@ -60,8 +63,7 @@ HierarchicalSelectionPolicy::HierarchicalSelectionPolicy(
 
 std::vector<std::size_t> HierarchicalSelectionPolicy::NodeDims(
     std::size_t node) const {
-  return {state_dim_, config_.mlp_hidden_dim,
-          tree_->node(node).children.size()};
+  return {state_dim_, kMlpHiddenDim, tree_->node(node).children.size()};
 }
 
 void HierarchicalSelectionPolicy::ReserveNodeStreams(util::Rng& rng) {
@@ -86,7 +88,7 @@ void HierarchicalSelectionPolicy::MaterializeNode(std::size_t node)
   util::Rng rng(node_init_[mlp_index]);
   mlps_[mlp_index] = std::make_unique<nn::Mlp>(
       "selection/node" + std::to_string(node), NodeDims(node), rng,
-      nn::Activation::kRelu, config_.init_stddev);
+      nn::Activation::kRelu, kInitStddev);
 }
 
 void HierarchicalSelectionPolicy::SetTargetItem(
@@ -235,7 +237,7 @@ void HierarchicalSelectionPolicy::AccumulateGradients(
       StateVector(record.selected_prefix, &run);
   const std::size_t embed_dim = item_embeddings_->cols();
 
-  std::vector<float> dhidden(config_.rnn_hidden_dim, 0.0f);
+  std::vector<float> dhidden(kRnnHiddenDim, 0.0f);
   for (const auto& decision : record.path) {
     nn::Mlp& mlp = NodeMlp(decision.node_id);
 
@@ -244,7 +246,7 @@ void HierarchicalSelectionPolicy::AccumulateGradients(
     math::MaskedSoftmaxInPlace(probs, decision.child_mask);
     std::vector<float> dlogits = nn::PolicyGradientLogits(
         probs, decision.action, advantage, decision.child_mask);
-    nn::AddEntropyBonusGrad(probs, config_.entropy_beta, decision.child_mask,
+    nn::AddEntropyBonusGrad(probs, kEntropyBeta, decision.child_mask,
                             dlogits);
 
     std::vector<float> dstate;
@@ -252,7 +254,7 @@ void HierarchicalSelectionPolicy::AccumulateGradients(
     touched_mlps_.insert(node_to_mlp_[decision.node_id]);
     // The q_{v*} half of the state is a frozen pre-trained embedding; only
     // the RNN half receives gradient.
-    for (std::size_t h = 0; h < config_.rnn_hidden_dim; ++h) {
+    for (std::size_t h = 0; h < kRnnHiddenDim; ++h) {
       dhidden[h] += dstate[embed_dim + h];
     }
   }

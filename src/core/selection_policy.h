@@ -59,12 +59,14 @@ class HierarchicalSelectionPolicy CA_CHECKPOINTED(
     HierarchicalSelectionPolicy::LoadState) {
  public:
   struct Config {
-    std::size_t mlp_hidden_dim = 16;
-    std::size_t rnn_hidden_dim = 8;
-    float init_stddev = 0.1f;
-    double entropy_beta = 0.01;
     SequenceEncoderType encoder = SequenceEncoderType::kVanillaRnn;
   };
+
+  /// Hidden width of every node MLP, width of the encoder state, and the
+  /// standard deviation of the Gaussian initial weights of both.
+  static constexpr std::size_t kMlpHiddenDim = 16;
+  static constexpr std::size_t kRnnHiddenDim = 8;
+  static constexpr float kInitStddev = 0.1f;
 
   /// `tree`, `user_embeddings` (p^B, one row per source user) and
   /// `item_embeddings` (q^B) are borrowed and must outlive the policy.
@@ -177,8 +179,8 @@ class HierarchicalSelectionPolicy CA_CHECKPOINTED(
       CA_NOT_CHECKPOINTED("borrowed pointer, rebound at construction");
   const math::Matrix* item_embeddings_
       CA_NOT_CHECKPOINTED("borrowed pointer, rebound at construction");
-  Config config_ CA_NOT_CHECKPOINTED("configuration, not mutable state");
-  std::size_t state_dim_ CA_NOT_CHECKPOINTED("derived from the config");
+  std::size_t state_dim_
+      CA_NOT_CHECKPOINTED("derived from the embedding width");
 
   std::unique_ptr<nn::RnnEncoder> rnn_;  // exactly one encoder is non-null
   std::unique_ptr<nn::GruEncoder> gru_;

@@ -9,6 +9,13 @@ namespace copyattack::defense {
 
 namespace {
 
+/// Training budget of the logistic regression: full-batch gradient
+/// descent epochs, step size and L2 penalty.
+constexpr std::size_t kEpochs = 200;
+constexpr double kLearningRate = 0.5;
+constexpr double kL2 = 1e-3;
+static_assert(kEpochs > 0 && kLearningRate > 0.0);
+
 /// Per-feature mean/stddev of a population (stddev floored; mirrors the
 /// unsupervised detectors' standardization).
 void FitMoments(const std::vector<ProfileFeatures>& population,
@@ -37,12 +44,6 @@ void FitMoments(const std::vector<ProfileFeatures>& population,
 double Sigmoid(double x) { return 1.0 / (1.0 + std::exp(-x)); }
 
 }  // namespace
-
-AdaptiveDetector::AdaptiveDetector(const AdaptiveDetectorConfig& config)
-    : config_(config), weights_(kNumProfileFeatures, 0.0) {
-  CA_CHECK_GT(config_.epochs, 0U);
-  CA_CHECK_GT(config_.learning_rate, 0.0);
-}
 
 void AdaptiveDetector::Fit(const std::vector<ProfileFeatures>& genuine) {
   FitMoments(genuine, &mean_, &stddev_);
@@ -85,7 +86,7 @@ void AdaptiveDetector::FitAdaptive(
 
   const double n = static_cast<double>(examples.size());
   std::vector<double> grad(kNumProfileFeatures);
-  for (std::size_t epoch = 0; epoch < config_.epochs; ++epoch) {
+  for (std::size_t epoch = 0; epoch < kEpochs; ++epoch) {
     std::fill(grad.begin(), grad.end(), 0.0);
     double grad_bias = 0.0;
     for (std::size_t e = 0; e < examples.size(); ++e) {
@@ -100,10 +101,9 @@ void AdaptiveDetector::FitAdaptive(
       grad_bias += residual;
     }
     for (std::size_t i = 0; i < kNumProfileFeatures; ++i) {
-      weights_[i] -= config_.learning_rate *
-                     (grad[i] / n + config_.l2 * weights_[i]);
+      weights_[i] -= kLearningRate * (grad[i] / n + kL2 * weights_[i]);
     }
-    bias_ -= config_.learning_rate * grad_bias / n;
+    bias_ -= kLearningRate * grad_bias / n;
   }
   supervised_ = true;
 }

@@ -10,13 +10,6 @@
 
 namespace copyattack::defense {
 
-/// Training budget of the adaptive detector's logistic regression.
-struct AdaptiveDetectorConfig {
-  std::size_t epochs = 200;
-  double learning_rate = 0.5;
-  double l2 = 1e-3;
-};
-
 /// Supervised arms-race detector: a logistic regression over the
 /// standardized profile features, retrained per attacker on that
 /// attacker's *actual injected profiles* (labeled positives) mixed with
@@ -32,9 +25,6 @@ struct AdaptiveDetectorConfig {
 /// scoring rule.
 class AdaptiveDetector final : public AnomalyDetector {
  public:
-  explicit AdaptiveDetector(
-      const AdaptiveDetectorConfig& config = AdaptiveDetectorConfig());
-
   /// Unsupervised fallback: fits the standardization only. `Score` then
   /// behaves like `ZScoreDetector` until `FitAdaptive` supplies labels.
   void Fit(const std::vector<ProfileFeatures>& genuine) override;
@@ -57,10 +47,10 @@ class AdaptiveDetector final : public AnomalyDetector {
   double bias() const { return bias_; }
 
  private:
-  AdaptiveDetectorConfig config_;
   ProfileFeatures mean_{};
   ProfileFeatures stddev_{};
-  std::vector<double> weights_;
+  std::vector<double> weights_ =
+      std::vector<double>(kNumProfileFeatures, 0.0);
   double bias_ = 0.0;
   bool fitted_ = false;
   bool supervised_ = false;

@@ -9,7 +9,6 @@
 
 #include "util/logging.h"
 #include "util/rng.h"
-#include "util/string_utils.h"
 
 namespace copyattack::fault {
 namespace {
@@ -151,35 +150,6 @@ std::uint64_t CrashPointHits() {
   ScheduleState& state = State();
   std::lock_guard<std::mutex> lock(state.mutex);
   return state.hits;
-}
-
-bool ArmCrashScheduleFromEnv() {
-  const char* spec = std::getenv("COPYATTACK_CRASH_POINT");
-  if (spec == nullptr || *spec == '\0') return false;
-  CrashScheduleConfig config;
-  config.enabled = true;
-  const std::string text(spec);
-  const std::size_t colon = text.rfind(':');
-  std::string count = text;
-  if (colon != std::string::npos) {
-    config.site = text.substr(0, colon);
-    count = text.substr(colon + 1);
-  }
-  std::size_t at_hit = 0;
-  if (!util::ParseSizeT(util::Trim(count), &at_hit)) {
-    CA_LOG(Warning) << "crash-point: unparsable COPYATTACK_CRASH_POINT '"
-                    << text << "' (want '<site>:<N>', ':<N>' or '<N>')";
-    return false;
-  }
-  config.at_hit = static_cast<std::uint64_t>(at_hit);
-  if (const char* mode = std::getenv("COPYATTACK_CRASH_MODE")) {
-    if (std::string(mode) == "throw") config.mode = CrashMode::kThrow;
-  }
-  if (const char* trace = std::getenv("COPYATTACK_CRASH_TRACE")) {
-    config.trace_path = trace;
-  }
-  ArmCrashSchedule(config);
-  return true;
 }
 
 }  // namespace copyattack::fault

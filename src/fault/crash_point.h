@@ -72,16 +72,6 @@ bool CrashScheduleArmed();
 /// Crash-point executions observed since the last `ArmCrashSchedule`.
 std::uint64_t CrashPointHits();
 
-/// Arms a schedule from the environment, for processes (the soak
-/// driver's forked children, CI one-liners) that cannot call
-/// `ArmCrashSchedule` before `main`:
-///   COPYATTACK_CRASH_POINT  "<site>:<N>" | ":<N>" | "<N>"
-///   COPYATTACK_CRASH_MODE   "exit" (default) | "throw"
-///   COPYATTACK_CRASH_TRACE  trace file path (optional)
-/// Returns true when a schedule was armed, false when the variable is
-/// unset or unparsable (unparsable also logs a warning).
-bool ArmCrashScheduleFromEnv();
-
 namespace internal {
 /// Armed flag on the hot side of the macro: disarmed crash points cost
 /// one relaxed atomic load and a predictable branch.

@@ -9,9 +9,6 @@
 /// dependency cycle.
 ///
 /// Cost model:
-///  * compile-time off (`cmake -DCOPYATTACK_OBS=OFF`, which defines
-///    COPYATTACK_OBS_DISABLED): every macro expands to `((void)0)` — the
-///    subsystem vanishes from the hot paths entirely;
 ///  * runtime off (the default; see obs::SetEnabled): one relaxed atomic
 ///    load and a predictable branch per site — measured at well under 1%
 ///    of the per-injection episode cost (ROADMAP.md's Perf log);
@@ -25,18 +22,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-
-#if defined(COPYATTACK_OBS_DISABLED)
-
-#define OBS_SPAN(name) ((void)0)
-#define OBS_COUNTER_INC(name) ((void)0)
-#define OBS_COUNTER_ADD(name, amount) ((void)0)
-#define OBS_GAUGE_SET(name, value) ((void)0)
-#define OBS_HIST_OBSERVE(name, value) ((void)0)
-#define OBS_UNIT_HIST_OBSERVE(name, value) ((void)0)
-#define OBS_SCOPED_TIMER_US(name) ((void)0)
-
-#else  // observability compiled in
 
 #define OBS_INTERNAL_CONCAT2(a, b) a##b
 #define OBS_INTERNAL_CONCAT(a, b) OBS_INTERNAL_CONCAT2(a, b)
@@ -101,7 +86,5 @@
       ::copyattack::obs::Enabled()                                         \
           ? &OBS_INTERNAL_CONCAT(ca_obs_timer_hist_, __LINE__)             \
           : nullptr)
-
-#endif  // COPYATTACK_OBS_DISABLED
 
 #endif  // COPYATTACK_OBS_OBS_H_

@@ -9,9 +9,17 @@
 
 namespace copyattack::rec {
 
-ItemKnn::ItemKnn(const ItemKnnConfig& config) : config_(config) {
-  CA_CHECK_GT(config.neighbors, 0U);
-}
+namespace {
+
+/// Neighbors kept per item (the classic top-N similarity list).
+constexpr std::size_t kNeighbors = 30;
+static_assert(kNeighbors > 0);
+
+/// Shrinkage added to the cosine denominator; damps similarities
+/// estimated from few co-occurrences.
+constexpr double kShrinkage = 5.0;
+
+}  // namespace
 
 void ItemKnn::InitTraining(const data::Dataset& train, util::Rng& rng) {
   (void)rng;  // deterministic model
@@ -46,10 +54,10 @@ void ItemKnn::TrainEpoch(const data::Dataset& train, util::Rng& rng) {
       const double pop_b = static_cast<double>(train.ItemPopularity(other));
       const double cosine =
           static_cast<double>(count) /
-          (std::sqrt(pop_a * pop_b) + config_.shrinkage);
+          (std::sqrt(pop_a * pop_b) + kShrinkage);
       scored.emplace_back(other, static_cast<float>(cosine));
     }
-    const std::size_t keep = std::min(config_.neighbors, scored.size());
+    const std::size_t keep = std::min(kNeighbors, scored.size());
     std::partial_sort(scored.begin(), scored.begin() + keep, scored.end(),
                       [](const auto& a, const auto& b) {
                         if (a.second != b.second) return a.second > b.second;

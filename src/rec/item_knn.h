@@ -8,18 +8,9 @@
 
 namespace copyattack::rec {
 
-/// Hyper-parameters of the item-based k-nearest-neighbor model.
-struct ItemKnnConfig {
-  /// Neighbors kept per item (the classic top-N similarity list).
-  std::size_t neighbors = 30;
-  /// Shrinkage added to the cosine denominator; damps similarities
-  /// estimated from few co-occurrences.
-  double shrinkage = 5.0;
-};
-
 /// Classic item-based collaborative filtering (Sarwar et al. 2001): item-
 /// item cosine similarity over co-occurrence counts, truncated to the top
-/// `neighbors` per item; a user's score for an item is the summed
+/// 30 neighbors per item; a user's score for an item is the summed
 /// similarity to the items in their profile.
 ///
 /// In this repo ItemKNN is a *third target-model family* for the
@@ -34,8 +25,6 @@ struct ItemKnnConfig {
 /// periodic retrain does in the refit-on-query environment.
 class ItemKnn final : public Recommender {
  public:
-  explicit ItemKnn(const ItemKnnConfig& config = ItemKnnConfig());
-
   void InitTraining(const data::Dataset& train, util::Rng& rng) override;
   void TrainEpoch(const data::Dataset& train, util::Rng& rng) override;
   void BeginServing(const data::Dataset& current) override;
@@ -52,7 +41,6 @@ class ItemKnn final : public Recommender {
       data::ItemId item) const;
 
  private:
-  ItemKnnConfig config_;
   /// Per item: top-N (neighbor, similarity), sorted descending.
   std::vector<std::vector<std::pair<data::ItemId, float>>> neighbors_;
   /// Serving users' profiles (borrowed copies for scoring).

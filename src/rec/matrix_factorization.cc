@@ -19,8 +19,8 @@ void MatrixFactorization::InitTraining(const data::Dataset& train,
   serving_checkpoint_valid_ = false;
   users_.Resize(train.num_users(), config_.embedding_dim);
   items_.Resize(train.num_items(), config_.embedding_dim);
-  users_.FillNormal(rng, 0.0f, config_.init_stddev);
-  items_.FillNormal(rng, 0.0f, config_.init_stddev);
+  users_.FillNormal(rng, 0.0f, kInitStddev);
+  items_.FillNormal(rng, 0.0f, kInitStddev);
 }
 
 void MatrixFactorization::TrainEpoch(const data::Dataset& train,
@@ -31,8 +31,8 @@ void MatrixFactorization::TrainEpoch(const data::Dataset& train,
   // (and any serving checkpoint over them) are stale.
   serving_checkpoint_valid_ = false;
   const std::size_t dim = config_.embedding_dim;
-  const float lr = config_.learning_rate;
-  const float reg = config_.regularization;
+  const float lr = kLearningRate;
+  const float reg = kRegularization;
 
   ForEachBprTriple(train, rng, [&](const BprTriple& triple) {
     float* pu = users_.Row(triple.user);

@@ -11,9 +11,6 @@ namespace copyattack::rec {
 /// Hyper-parameters of the BPR matrix-factorization model.
 struct MfConfig {
   std::size_t embedding_dim = 8;  ///< paper uses embedding size 8
-  float learning_rate = 0.05f;
-  float regularization = 0.01f;
-  float init_stddev = 0.1f;  ///< Gaussian init per the paper
 };
 
 /// Matrix factorization (Koren et al.) trained with the BPR pairwise loss
@@ -32,6 +29,11 @@ struct MfConfig {
 /// profile's item embeddings (standard fold-in).
 class MatrixFactorization final : public Recommender {
  public:
+  /// SGD step, L2 penalty and Gaussian initialization (per the paper).
+  static constexpr float kLearningRate = 0.05f;
+  static constexpr float kRegularization = 0.01f;
+  static constexpr float kInitStddev = 0.1f;
+
   explicit MatrixFactorization(const MfConfig& config = MfConfig());
 
   void InitTraining(const data::Dataset& train, util::Rng& rng) override;

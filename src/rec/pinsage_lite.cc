@@ -10,24 +10,48 @@
 
 namespace copyattack::rec {
 
-PinSageLite::PinSageLite(const PinSageConfig& config) : config_(config) {
-  CA_CHECK_GT(config.embedding_dim, 0U);
-  CA_CHECK_GE(config.self_weight, 0.0f);
-  CA_CHECK_LE(config.self_weight, 1.0f);
-}
+namespace {
+
+/// Mixing weight between an item's own embedding and its aggregated
+/// user-neighborhood representation at serving time:
+/// z_i = alpha * q_i + (1 - alpha) * sum_{u in P_i} p_u / |P_i|^e.
+/// The GCN-style degree normalization keeps a popularity signal (more
+/// interacting users -> larger neighborhood term), which both matches
+/// graph recommenders in practice and is what injection attacks exploit:
+/// every injected profile strictly adds mass to the target item's
+/// neighborhood representation.
+constexpr float kSelfWeight = 0.5f;
+static_assert(kSelfWeight >= 0.0f && kSelfWeight <= 1.0f);
+
+/// Degree-normalization exponent e above. 0.5 is the symmetric-GCN
+/// choice; values toward 1.0 compress the popularity signal (1.0 is a
+/// plain mean). 0.5 keeps popularity relevant while leaving the
+/// preference (direction) component decisive near the Top-k boundary.
+constexpr float kNeighborNormExponent = 0.5f;
+
+/// Weight of the item-popularity intercept added to every score:
+/// `kPopularityBias * log(1 + train_count_i)`. Recommenders learn such an
+/// item intercept during training; it is a *frozen* model parameter, so
+/// it keeps cold items out of Top-k lists before any attack but does not
+/// react to injected interactions (only the inductive aggregation does).
+constexpr float kPopularityBias = 0.8f;
+
+static_assert(PinSageLite::kEmbeddingDim > 0);
+
+}  // namespace
 
 void PinSageLite::InitTraining(const data::Dataset& train, util::Rng& rng) {
-  items_.Resize(train.num_items(), config_.embedding_dim);
-  items_.FillNormal(rng, 0.0f, config_.init_stddev);
+  items_.Resize(train.num_items(), kEmbeddingDim);
+  items_.FillNormal(rng, 0.0f, kInitStddev);
   // Frozen popularity intercept from the training interaction counts.
   item_intercept_.assign(train.num_items(), 0.0f);
   for (data::ItemId item = 0; item < train.num_items(); ++item) {
     item_intercept_[item] =
-        config_.popularity_bias *
+        kPopularityBias *
         std::log1p(static_cast<float>(train.ItemPopularity(item)));
   }
-  user_reps_.Resize(0, config_.embedding_dim);
-  item_user_sum_.Resize(0, config_.embedding_dim);
+  user_reps_.Resize(0, kEmbeddingDim);
+  item_user_sum_.Resize(0, kEmbeddingDim);
   item_user_count_.clear();
   item_neighbor_weight_.clear();
   mean_user_aggregate_.clear();
@@ -42,9 +66,9 @@ void PinSageLite::TrainEpoch(const data::Dataset& train, util::Rng& rng) {
   // recomputes them.
   mean_frozen_ = false;
   serving_ckpt_.valid = false;
-  const std::size_t dim = config_.embedding_dim;
-  const float lr = config_.learning_rate;
-  const float reg = config_.regularization;
+  const std::size_t dim = kEmbeddingDim;
+  const float lr = kLearningRate;
+  const float reg = kRegularization;
 
   std::vector<float> user_rep(dim);
   ForEachBprTriple(train, rng, [&](const BprTriple& triple) {
@@ -77,7 +101,7 @@ void PinSageLite::TrainEpoch(const data::Dataset& train, util::Rng& rng) {
 void PinSageLite::ComputeRawUserAggregate(const data::Dataset& current,
                                           data::UserId user,
                                           float* out) const {
-  const std::size_t dim = config_.embedding_dim;
+  const std::size_t dim = kEmbeddingDim;
   for (std::size_t d = 0; d < dim; ++d) out[d] = 0.0f;
   const data::Profile& profile = current.UserProfile(user);
   if (profile.empty()) return;
@@ -90,7 +114,7 @@ void PinSageLite::ComputeRawUserAggregate(const data::Dataset& current,
 void PinSageLite::ComputeUserRepresentation(const data::Dataset& current,
                                             data::UserId user,
                                             float* out) const {
-  const std::size_t dim = config_.embedding_dim;
+  const std::size_t dim = kEmbeddingDim;
   ComputeRawUserAggregate(current, user, out);
   // Mean-centering (classical neighborhood CF) removes the shared
   // "everybody likes the head" component, so only distinctive
@@ -114,7 +138,7 @@ void PinSageLite::BeginServing(const data::Dataset& current) {
   OBS_SPAN("rec.begin_serving");
   OBS_COUNTER_INC("rec.begin_serving");
   CA_CHECK_EQ(items_.rows(), current.num_items());
-  const std::size_t dim = config_.embedding_dim;
+  const std::size_t dim = kEmbeddingDim;
   // The centering mean is a model constant: computed once, over the first
   // population the model serves (the clean training users), and frozen —
   // injected users observed later are centered against the same mean.
@@ -153,7 +177,7 @@ void PinSageLite::ObserveNewUser(const data::Dataset& current,
   CA_CHECK_LT(user, current.num_users());
   CA_CHECK_EQ(static_cast<std::size_t>(user), user_reps_.rows())
       << "users must be observed in append order";
-  const std::size_t dim = config_.embedding_dim;
+  const std::size_t dim = kEmbeddingDim;
   float* rep = user_reps_.AppendRow();  // amortized O(dim), not O(users*dim)
   ComputeUserRepresentation(current, user, rep);
   for (const data::ItemId item : current.UserProfile(user)) {
@@ -195,18 +219,18 @@ bool PinSageLite::RollbackServing() {
 void PinSageLite::UpdateNeighborWeight(data::ItemId item) {
   const std::size_t count = item_user_count_[item];
   item_neighbor_weight_[item] =
-      count > 0 ? (1.0f - config_.self_weight) /
+      count > 0 ? (1.0f - kSelfWeight) /
                       std::pow(static_cast<float>(count),
-                               config_.neighbor_norm_exponent)
+                               kNeighborNormExponent)
                 : 0.0f;
 }
 
 void PinSageLite::ItemRepresentation(data::ItemId item,
                                      std::vector<float>* out) const {
   CA_CHECK_LT(item, items_.rows());
-  const std::size_t dim = config_.embedding_dim;
+  const std::size_t dim = kEmbeddingDim;
   out->assign(dim, 0.0f);
-  const float alpha = config_.self_weight;
+  const float alpha = kSelfWeight;
   math::Axpy(alpha, items_.Row(item), out->data(), dim);
   if (item_user_count_[item] > 0) {
     math::Axpy(item_neighbor_weight_[item], item_user_sum_.Row(item),
@@ -218,8 +242,8 @@ void PinSageLite::ItemRepresentation(data::ItemId item,
 // Score and ScoreCandidatesInto share this one expression, so they agree
 // bit for bit by construction.
 inline float PinSageLite::ScoreItem(const float* p, data::ItemId item) const {
-  const std::size_t dim = config_.embedding_dim;
-  float score = config_.self_weight * math::Dot(p, items_.Row(item), dim);
+  const std::size_t dim = kEmbeddingDim;
+  float score = kSelfWeight * math::Dot(p, items_.Row(item), dim);
   if (item_user_count_[item] > 0) {
     score += item_neighbor_weight_[item] *
              math::Dot(p, item_user_sum_.Row(item), dim);

@@ -10,35 +10,6 @@
 
 namespace copyattack::rec {
 
-/// Hyper-parameters of the PinSage-style target model.
-struct PinSageConfig {
-  std::size_t embedding_dim = 8;
-  float learning_rate = 0.05f;
-  float regularization = 0.005f;
-  float init_stddev = 0.1f;
-  /// Mixing weight between an item's own embedding and its aggregated
-  /// user-neighborhood representation at serving time:
-  /// z_i = alpha * q_i + (1 - alpha) * sum_{u in P_i} p_u / |P_i|^e.
-  /// The GCN-style degree normalization keeps a popularity signal (more
-  /// interacting users -> larger neighborhood term), which both matches
-  /// graph recommenders in practice and is what injection attacks exploit:
-  /// every injected profile strictly adds mass to the target item's
-  /// neighborhood representation.
-  float self_weight = 0.5f;
-  /// Degree-normalization exponent e above. 0.5 is the symmetric-GCN
-  /// choice; values toward 1.0 compress the popularity signal (1.0 is a
-  /// plain mean). The default 0.5 keeps popularity relevant while leaving
-  /// the preference (direction) component decisive near the Top-k
-  /// boundary.
-  float neighbor_norm_exponent = 0.5f;
-  /// Weight of the item-popularity intercept added to every score:
-  /// `popularity_bias * log(1 + train_count_i)`. Recommenders learn such an
-  /// item intercept during training; it is a *frozen* model parameter, so
-  /// it keeps cold items out of Top-k lists before any attack but does not
-  /// react to injected interactions (only the inductive aggregation does).
-  float popularity_bias = 0.8f;
-};
-
 /// A graph-aggregation recommender standing in for PinSage (Ying et al.,
 /// KDD'18), the paper's black-box target model (§5.1.3).
 ///
@@ -57,7 +28,12 @@ struct PinSageConfig {
 /// black-box query costs O(dim) per candidate.
 class PinSageLite final : public Recommender {
  public:
-  explicit PinSageLite(const PinSageConfig& config = PinSageConfig());
+  /// Training hyper-parameters (paper §5.1.3: embedding size 8, Gaussian
+  /// initialization).
+  static constexpr std::size_t kEmbeddingDim = 8;
+  static constexpr float kLearningRate = 0.05f;
+  static constexpr float kRegularization = 0.005f;
+  static constexpr float kInitStddev = 0.1f;
 
   void InitTraining(const data::Dataset& train, util::Rng& rng) override;
   /// One BPR step per training interaction on the item embeddings q, the
@@ -88,7 +64,7 @@ class PinSageLite final : public Recommender {
   /// (size = embedding_dim).
   void ItemRepresentation(data::ItemId item, std::vector<float>* out) const;
 
-  std::size_t embedding_dim() const { return config_.embedding_dim; }
+  std::size_t embedding_dim() const { return kEmbeddingDim; }
 
  private:
   /// Profile-mean of item embeddings, before centering/normalization.
@@ -106,7 +82,6 @@ class PinSageLite final : public Recommender {
   /// Recomputes `item`'s cached neighbour weight from its user count.
   void UpdateNeighborWeight(data::ItemId item);
 
-  PinSageConfig config_;
   math::Matrix items_;        // q: num_items x dim (trained)
   std::vector<float> item_intercept_;       // frozen at InitTraining
   std::vector<float> mean_user_aggregate_;  // frozen at first BeginServing

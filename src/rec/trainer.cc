@@ -1,10 +1,20 @@
 #include "rec/trainer.h"
 
+#include <cstdint>
+
 #include "obs/obs.h"
 #include "rec/evaluator.h"
 #include "util/logging.h"
 
 namespace copyattack::rec {
+
+namespace {
+
+constexpr std::size_t kEvalK = 10;  ///< HR@k monitored on validation
+constexpr std::size_t kNumNegatives = 100;
+constexpr std::uint64_t kEvalSeed = 99;  ///< fixed negatives across epochs
+
+}  // namespace
 
 TrainReport TrainWithEarlyStopping(Recommender& model,
                                    const data::TrainValidTestSplit& split,
@@ -15,11 +25,11 @@ TrainReport TrainWithEarlyStopping(Recommender& model,
   model.InitTraining(split.train, rng);
 
   {
-    // The validation negatives depend only on the split and eval_seed, so
+    // The validation negatives depend only on the split and kEvalSeed, so
     // they are drawn once and every epoch ranks against the same lists.
-    util::Rng valid_rng(options.eval_seed);
+    util::Rng valid_rng(kEvalSeed);
     const std::vector<std::vector<data::ItemId>> valid_negatives =
-        SampleHeldOutNegatives(full, split.valid, options.num_negatives,
+        SampleHeldOutNegatives(full, split.valid, kNumNegatives,
                                valid_rng);
 
     std::size_t epochs_since_best = 0;
@@ -35,8 +45,8 @@ TrainReport TrainWithEarlyStopping(Recommender& model,
       model.BeginServing(split.train);
       const MetricsByK valid = EvaluateHeldOut(model, split.valid,
                                                valid_negatives,
-                                               {options.eval_k});
-      const double hr = valid.at(options.eval_k).hr;
+                                               {kEvalK});
+      const double hr = valid.at(kEvalK).hr;
       if (hr > report.best_valid_hr) {
         report.best_valid_hr = hr;
         epochs_since_best = 0;
@@ -44,18 +54,18 @@ TrainReport TrainWithEarlyStopping(Recommender& model,
         ++epochs_since_best;
       }
       CA_LOG(Debug) << model.name() << " epoch " << (epoch + 1)
-                    << " valid HR@" << options.eval_k << " = " << hr;
+                    << " valid HR@" << kEvalK << " = " << hr;
       if (epochs_since_best >= options.patience) break;
     }
   }  // frees the validation negatives before the test split draws its own
 
   model.BeginServing(split.train);
-  util::Rng eval_rng(options.eval_seed + 1);
+  util::Rng eval_rng(kEvalSeed + 1);
   const MetricsByK test =
-      EvaluateHeldOut(model, full, split.test, {options.eval_k},
-                      options.num_negatives, eval_rng);
-  report.test_hr = test.at(options.eval_k).hr;
-  report.test_ndcg = test.at(options.eval_k).ndcg;
+      EvaluateHeldOut(model, full, split.test, {kEvalK},
+                      kNumNegatives, eval_rng);
+  report.test_hr = test.at(kEvalK).hr;
+  report.test_ndcg = test.at(kEvalK).ndcg;
   return report;
 }
 

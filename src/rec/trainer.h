@@ -1,7 +1,7 @@
 #ifndef COPYATTACK_REC_TRAINER_H_
 #define COPYATTACK_REC_TRAINER_H_
 
-#include <cstdint>
+#include <cstddef>
 
 #include "data/split.h"
 #include "rec/recommender.h"
@@ -13,9 +13,6 @@ namespace copyattack::rec {
 struct TrainOptions {
   std::size_t max_epochs = 60;
   std::size_t patience = 5;
-  std::size_t eval_k = 10;         ///< HR@k monitored on validation
-  std::size_t num_negatives = 100;
-  std::uint64_t eval_seed = 99;    ///< fixed negatives across epochs
 };
 
 /// Outcome of training.
@@ -27,7 +24,7 @@ struct TrainReport {
 };
 
 /// Trains `model` on `split.train` with early stopping on validation
-/// HR@eval_k, then reports test metrics. `full` is the unsplit dataset used
+/// HR@10 over 100 sampled negatives, then reports test HR/NDCG@10. `full` is the unsplit dataset used
 /// to filter negative samples. Leaves the model in serving state over
 /// `split.train`.
 TrainReport TrainWithEarlyStopping(Recommender& model,

@@ -177,24 +177,22 @@ core::StrategyFactory CopyAttackFactory(
 // after a resume — shares the identical read-only model, so the method
 // stays bit-identical across shard counts, kill-and-resume, and whichever
 // job filled the slot.
-template <typename Attack, typename Config>
+template <typename Attack>
 core::StrategyFactory SurrogateFactory(const data::CrossDomainDataset& dataset,
                                        const core::SourceArtifacts&,
                                        SurrogateSlot* surrogate) {
   if (*surrogate == nullptr) {
-    *surrogate = std::make_shared<const attack::TargetSurrogate>(
-        dataset.target, attack::SurrogateConfig{});
+    *surrogate =
+        std::make_shared<const attack::TargetSurrogate>(dataset.target);
   }
   return [&dataset, model = *surrogate](std::uint64_t seed) {
-    return std::make_unique<Attack>(&dataset, model, Config{}, seed);
+    return std::make_unique<Attack>(&dataset, model, seed);
   };
 }
 
 constexpr auto kSurrogateTransfer =
-    SurrogateFactory<attack::SurrogateTransferAttack,
-                     attack::SurrogateTransferConfig>;
-constexpr auto kInfluence =
-    SurrogateFactory<attack::InfluenceAttack, attack::InfluenceConfig>;
+    SurrogateFactory<attack::SurrogateTransferAttack>;
+constexpr auto kInfluence = SurrogateFactory<attack::InfluenceAttack>;
 
 struct Method {
   const char* name;

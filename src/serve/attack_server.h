@@ -23,9 +23,8 @@ namespace copyattack::serve {
 /// Holds the attacker's local model (attack/surrogate.h) for the
 /// surrogate-based methods. `MakeStrategyFactory` trains into an empty
 /// slot and reuses a filled one; every copy is trained from
-/// `dataset.target` with the default `SurrogateConfig` and its fixed
-/// seed, so reuse changes no outcome. Reuse a slot only with the dataset
-/// that filled it.
+/// `dataset.target` with the surrogate's fixed epochs and seed, so reuse
+/// changes no outcome. Reuse a slot only with the dataset that filled it.
 using SurrogateSlot = std::shared_ptr<const attack::TargetSurrogate>;
 
 /// A named attack method resolved to its strategy factory.

@@ -38,7 +38,7 @@ core::EnvConfig SmallEnvConfig() {
 
 std::shared_ptr<const TargetSurrogate> SharedSurrogate() {
   static const auto surrogate = std::make_shared<const TargetSurrogate>(
-      SharedTinyWorld().world.dataset.target, SurrogateConfig{});
+      SharedTinyWorld().world.dataset.target);
   return surrogate;
 }
 
@@ -59,8 +59,8 @@ std::vector<data::Profile> HarvestInjected(const TinyWorld& tw,
 
 TEST(TargetSurrogateTest, RetrainingIsDeterministic) {
   const auto& tw = SharedTinyWorld();
-  const TargetSurrogate a(tw.world.dataset.target, SurrogateConfig{});
-  const TargetSurrogate b(tw.world.dataset.target, SurrogateConfig{});
+  const TargetSurrogate a(tw.world.dataset.target);
+  const TargetSurrogate b(tw.world.dataset.target);
   ASSERT_EQ(a.num_items(), tw.world.dataset.target.num_items());
   ASSERT_EQ(a.mean_user_embedding().size(), a.embedding_dim());
   // Fixed training seed: two independently trained surrogates are
@@ -87,7 +87,6 @@ TEST(TargetSurrogateTest, FoldInAveragesItemEmbeddings) {
 TEST(SurrogateTransferTest, EpisodeInjectsCraftedProfilesWithTarget) {
   const auto& tw = SharedTinyWorld();
   SurrogateTransferAttack strategy(&tw.world.dataset, SharedSurrogate(),
-                                   SurrogateTransferConfig{},
                                    testhelpers::TestSeed(1));
   strategy.BeginTargetItem(tw.cold_target);
 
@@ -101,9 +100,8 @@ TEST(SurrogateTransferTest, EpisodeInjectsCraftedProfilesWithTarget) {
 
   const auto injected = HarvestInjected(tw, env);
   ASSERT_EQ(injected.size(), SmallEnvConfig().budget);
-  const SurrogateTransferConfig config;
   for (const data::Profile& profile : injected) {
-    EXPECT_EQ(profile.size(), config.profile_length);
+    EXPECT_EQ(profile.size(), SurrogateTransferAttack::kProfileLength);
     EXPECT_NE(std::find(profile.begin(), profile.end(), tw.cold_target),
               profile.end());
     const std::set<data::ItemId> unique(profile.begin(), profile.end());
@@ -114,7 +112,6 @@ TEST(SurrogateTransferTest, EpisodeInjectsCraftedProfilesWithTarget) {
 TEST(SurrogateTransferTest, StepScaleDecaysOnlyWhileLearning) {
   const auto& tw = SharedTinyWorld();
   SurrogateTransferAttack strategy(&tw.world.dataset, SharedSurrogate(),
-                                   SurrogateTransferConfig{},
                                    testhelpers::TestSeed(5));
   strategy.BeginTargetItem(tw.cold_target);
   EXPECT_EQ(strategy.step_scale(), 1.0);
@@ -128,7 +125,7 @@ TEST(SurrogateTransferTest, StepScaleDecaysOnlyWhileLearning) {
     strategy.RunEpisode(env, rng);
   }
   const double after_learning = strategy.step_scale();
-  EXPECT_GE(after_learning, SurrogateTransferConfig{}.min_step_scale);
+  EXPECT_GE(after_learning, SurrogateTransferAttack::kMinStepScale);
   EXPECT_LE(after_learning, 1.0);
 
   // Eval mode freezes the learned state entirely.
@@ -141,7 +138,6 @@ TEST(SurrogateTransferTest, StepScaleDecaysOnlyWhileLearning) {
 TEST(SurrogateTransferTest, CheckpointRoundTripResumesExactTrajectory) {
   const auto& tw = SharedTinyWorld();
   SurrogateTransferAttack original(&tw.world.dataset, SharedSurrogate(),
-                                   SurrogateTransferConfig{},
                                    testhelpers::TestSeed(1));
   original.BeginTargetItem(tw.cold_target);
   {
@@ -162,7 +158,6 @@ TEST(SurrogateTransferTest, CheckpointRoundTripResumesExactTrajectory) {
   // trajectory after LoadState: the ascent rng, step scale and best seed
   // user are all part of the checkpoint.
   SurrogateTransferAttack restored(&tw.world.dataset, SharedSurrogate(),
-                                   SurrogateTransferConfig{},
                                    testhelpers::TestSeed(999));
   restored.BeginTargetItem(tw.cold_target);
   ASSERT_TRUE(restored.LoadState(blob));
@@ -188,9 +183,9 @@ TEST(SurrogateTransferTest, CheckpointRoundTripResumesExactTrajectory) {
 
 TEST(InfluenceTest, RankingIsDeterministicOverSourceHolders) {
   const auto& tw = SharedTinyWorld();
-  InfluenceAttack a(&tw.world.dataset, SharedSurrogate(), InfluenceConfig{},
+  InfluenceAttack a(&tw.world.dataset, SharedSurrogate(),
                     testhelpers::TestSeed(1));
-  InfluenceAttack b(&tw.world.dataset, SharedSurrogate(), InfluenceConfig{},
+  InfluenceAttack b(&tw.world.dataset, SharedSurrogate(),
                     testhelpers::TestSeed(2));
   a.BeginTargetItem(tw.cold_target);
   b.BeginTargetItem(tw.cold_target);
@@ -209,7 +204,7 @@ TEST(InfluenceTest, RankingIsDeterministicOverSourceHolders) {
 TEST(InfluenceTest, EpisodeInjectsClippedHolderProfiles) {
   const auto& tw = SharedTinyWorld();
   InfluenceAttack strategy(&tw.world.dataset, SharedSurrogate(),
-                           InfluenceConfig{}, testhelpers::TestSeed(1));
+                           testhelpers::TestSeed(1));
   strategy.BeginTargetItem(tw.cold_target);
 
   rec::PinSageLite model = tw.model;
@@ -231,7 +226,7 @@ TEST(InfluenceTest, EpisodeInjectsClippedHolderProfiles) {
 TEST(InfluenceTest, CheckpointRoundTripPreservesCursor) {
   const auto& tw = SharedTinyWorld();
   InfluenceAttack original(&tw.world.dataset, SharedSurrogate(),
-                           InfluenceConfig{}, testhelpers::TestSeed(1));
+                           testhelpers::TestSeed(1));
   original.BeginTargetItem(tw.cold_target);
   {
     rec::PinSageLite model = tw.model;
@@ -248,7 +243,7 @@ TEST(InfluenceTest, CheckpointRoundTripPreservesCursor) {
   ASSERT_TRUE(original.SaveState(blob));
 
   InfluenceAttack restored(&tw.world.dataset, SharedSurrogate(),
-                           InfluenceConfig{}, testhelpers::TestSeed(999));
+                           testhelpers::TestSeed(999));
   restored.BeginTargetItem(tw.cold_target);
   ASSERT_TRUE(restored.LoadState(blob));
   EXPECT_EQ(restored.cursor(), original.cursor());
@@ -271,7 +266,7 @@ TEST(InfluenceTest, CheckpointRoundTripPreservesCursor) {
 TEST(InfluenceTest, LoadStateRejectsTruncatedBlob) {
   const auto& tw = SharedTinyWorld();
   InfluenceAttack strategy(&tw.world.dataset, SharedSurrogate(),
-                           InfluenceConfig{}, testhelpers::TestSeed(1));
+                           testhelpers::TestSeed(1));
   strategy.BeginTargetItem(tw.cold_target);
   std::stringstream truncated("abc");
   EXPECT_FALSE(strategy.LoadState(truncated));

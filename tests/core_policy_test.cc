@@ -229,9 +229,9 @@ TEST_F(PolicyFixture, TotalParameterCountPositive) {
 
 TEST_F(PolicyFixture, TotalParameterCountEqualsEagerSum) {
   auto policy = MakePolicy();
-  const HierarchicalSelectionPolicy::Config config;
   util::Rng rng(testhelpers::TestSeed(61));
-  nn::RnnEncoder encoder("e", users_.cols(), config.rnn_hidden_dim, rng);
+  nn::RnnEncoder encoder("e", users_.cols(),
+                         HierarchicalSelectionPolicy::kRnnHiddenDim, rng);
   std::size_t eager = 0;
   for (const nn::Parameter* p : encoder.Parameters()) {
     eager += p->value.size();
@@ -239,7 +239,7 @@ TEST_F(PolicyFixture, TotalParameterCountEqualsEagerSum) {
   for (std::size_t id = 0; id < tree_.num_nodes(); ++id) {
     if (tree_.IsLeaf(id)) continue;
     nn::Mlp mlp("m",
-                {policy.state_dim(), config.mlp_hidden_dim,
+                {policy.state_dim(), HierarchicalSelectionPolicy::kMlpHiddenDim,
                  tree_.node(id).children.size()},
                 rng);
     for (const nn::Parameter* p : mlp.Parameters()) eager += p->value.size();
@@ -278,11 +278,11 @@ class PolicyCheckpointTest : public PolicyFixture {
 
   /// An MLP named and shaped for node `node`, built from `rng`.
   nn::Mlp NodeMlp(std::size_t node, util::Rng& rng) const {
-    const HierarchicalSelectionPolicy::Config config;
+    using Policy = HierarchicalSelectionPolicy;
     return nn::Mlp("selection/node" + std::to_string(node),
-                   {items_.cols() + config.rnn_hidden_dim,
-                    config.mlp_hidden_dim, tree_.node(node).children.size()},
-                   rng, nn::Activation::kRelu, config.init_stddev);
+                   {items_.cols() + Policy::kRnnHiddenDim,
+                    Policy::kMlpHiddenDim, tree_.node(node).children.size()},
+                   rng, nn::Activation::kRelu, Policy::kInitStddev);
   }
 
   /// A node record with id `id` and parameters fitting node `shape_of`.
@@ -319,18 +319,18 @@ class PolicyCheckpointTest : public PolicyFixture {
 TEST_F(PolicyCheckpointTest, NodesBuiltOnFirstVisitHoldTheEagerWeights) {
   // An eager build: the encoder, then every internal node's MLP in id
   // order, all from one stream.
-  const HierarchicalSelectionPolicy::Config config;
   util::Rng eager_rng(testhelpers::TestSeed(9));
   nn::RnnEncoder encoder("selection/rnn", users_.cols(),
-                         config.rnn_hidden_dim, eager_rng,
-                         config.init_stddev);
+                         HierarchicalSelectionPolicy::kRnnHiddenDim,
+                         eager_rng, HierarchicalSelectionPolicy::kInitStddev);
   std::vector<std::unique_ptr<nn::Mlp>> eager(tree_.num_nodes());
   for (const std::size_t id : InternalNodes()) {
     eager[id] = std::make_unique<nn::Mlp>(NodeMlp(id, eager_rng));
   }
 
   util::Rng lazy_rng(testhelpers::TestSeed(9));
-  HierarchicalSelectionPolicy policy(&tree_, &users_, &items_, config,
+  HierarchicalSelectionPolicy policy(&tree_, &users_, &items_,
+                                     HierarchicalSelectionPolicy::Config{},
                                      lazy_rng);
   // The stream continues where the eager build left it (the crafting
   // policy draws next).
@@ -457,8 +457,7 @@ TEST_F(PolicyCheckpointTest, LoadStateRejectsEveryTruncation) {
 
 TEST_F(PolicyFixture, CraftingPolicySamplesValidLevels) {
   util::Rng init_rng(testhelpers::TestSeed(43));
-  CraftingPolicy policy(&users_, &items_, CraftingPolicy::Config{},
-                        init_rng);
+  CraftingPolicy policy(&users_, &items_, init_rng);
   policy.SetTargetItem(1);
   util::Rng rng(testhelpers::TestSeed(47));
   for (int i = 0; i < 100; ++i) {
@@ -472,8 +471,7 @@ TEST_F(PolicyFixture, CraftingPolicySamplesValidLevels) {
 
 TEST_F(PolicyFixture, CraftingPolicyLearnsPreferredLevel) {
   util::Rng init_rng(testhelpers::TestSeed(53));
-  CraftingPolicy policy(&users_, &items_, CraftingPolicy::Config{},
-                        init_rng);
+  CraftingPolicy policy(&users_, &items_, init_rng);
   policy.SetTargetItem(2);
   util::Rng rng(testhelpers::TestSeed(59));
 
@@ -547,8 +545,7 @@ TEST_F(PolicyFixture, GreedyRespectsMask) {
 
 TEST_F(PolicyFixture, CraftingGreedyPicksArgmax) {
   util::Rng init_rng(testhelpers::TestSeed(43));
-  CraftingPolicy policy(&users_, &items_, CraftingPolicy::Config{},
-                        init_rng);
+  CraftingPolicy policy(&users_, &items_, init_rng);
   policy.SetTargetItem(1);
   util::Rng rng_a(testhelpers::TestSeed(1)), rng_b(testhelpers::TestSeed(2));
   CraftStepRecord ra, rb;

@@ -5,7 +5,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <deque>
 #include <filesystem>
 #include <fstream>
@@ -508,31 +507,6 @@ TEST(CrashPointTest, ThrowModeIsOneShot) {
   // (the post-crash checkpoint save) must run to completion.
   EXPECT_FALSE(fault::CrashScheduleArmed());
   CA_CRASH_POINT("test.once");  // must not fire again
-}
-
-TEST(CrashPointTest, EnvArmingParsesSiteCountModeAndTrace) {
-  CrashScheduleGuard guard;
-  ::setenv("COPYATTACK_CRASH_POINT", "serve.job_begin:3", 1);
-  ::setenv("COPYATTACK_CRASH_MODE", "throw", 1);
-  EXPECT_TRUE(fault::ArmCrashScheduleFromEnv());
-  EXPECT_TRUE(fault::CrashScheduleArmed());
-  CA_CRASH_POINT("serve.job_begin");
-  CA_CRASH_POINT("serve.job_begin");
-  EXPECT_THROW(CA_CRASH_POINT("serve.job_begin"), fault::CrashForTest);
-
-  // ":N" (any site) and bare "N" both parse; garbage does not arm.
-  ::setenv("COPYATTACK_CRASH_POINT", ":5", 1);
-  EXPECT_TRUE(fault::ArmCrashScheduleFromEnv());
-  fault::DisarmCrashSchedule();
-  ::setenv("COPYATTACK_CRASH_POINT", "7", 1);
-  EXPECT_TRUE(fault::ArmCrashScheduleFromEnv());
-  fault::DisarmCrashSchedule();
-  ::setenv("COPYATTACK_CRASH_POINT", "site:notanumber", 1);
-  EXPECT_FALSE(fault::ArmCrashScheduleFromEnv());
-  EXPECT_FALSE(fault::CrashScheduleArmed());
-  ::unsetenv("COPYATTACK_CRASH_POINT");
-  ::unsetenv("COPYATTACK_CRASH_MODE");
-  EXPECT_FALSE(fault::ArmCrashScheduleFromEnv());
 }
 
 }  // namespace

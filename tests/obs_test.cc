@@ -142,7 +142,6 @@ TEST_F(ObsTest, RegistryHandlesAreStableAndResettable) {
 // The OBS_* macros mutate only while telemetry is enabled; the disabled
 // default must leave the global registry untouched.
 TEST_F(ObsTest, MacrosAreInertWhileDisabled) {
-#if !defined(COPYATTACK_OBS_DISABLED)
   obs::Counter& counter =
       obs::MetricsRegistry::Global().GetCounter("obs_test.macro_counter");
   counter.Reset();
@@ -154,7 +153,6 @@ TEST_F(ObsTest, MacrosAreInertWhileDisabled) {
   obs::SetEnabled(false);
   EXPECT_EQ(counter.Value(), 1U);
   counter.Reset();
-#endif
 }
 
 // --- tracing ---------------------------------------------------------------

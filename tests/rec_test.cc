@@ -860,9 +860,8 @@ TEST(BprDrawsTest, ThrowingApplyStillFinishesTheEpoch) {
 
 TEST(BprDrawsTest, MfEpochsMatchSequentialTraining) {
   const data::Dataset train = BprWorld();
-  const MfConfig config;
-  const std::size_t dim = config.embedding_dim;
-  MatrixFactorization mf(config);
+  const std::size_t dim = MfConfig{}.embedding_dim;
+  MatrixFactorization mf;
   util::Rng rng(TestSeed(105));
   mf.InitTraining(train, rng);
   for (int epoch = 0; epoch < 3; ++epoch) mf.TrainEpoch(train, rng);
@@ -871,10 +870,10 @@ TEST(BprDrawsTest, MfEpochsMatchSequentialTraining) {
   util::Rng ref_rng(TestSeed(105));
   math::Matrix users(train.num_users(), dim);
   math::Matrix items(train.num_items(), dim);
-  users.FillNormal(ref_rng, 0.0f, config.init_stddev);
-  items.FillNormal(ref_rng, 0.0f, config.init_stddev);
-  const float lr = config.learning_rate;
-  const float reg = config.regularization;
+  users.FillNormal(ref_rng, 0.0f, MatrixFactorization::kInitStddev);
+  items.FillNormal(ref_rng, 0.0f, MatrixFactorization::kInitStddev);
+  const float lr = MatrixFactorization::kLearningRate;
+  const float reg = MatrixFactorization::kRegularization;
   for (int epoch = 0; epoch < 3; ++epoch) {
     const std::size_t steps = train.num_interactions();
     for (std::size_t s = 0; s < steps; ++s) {
@@ -924,9 +923,8 @@ TEST(BprDrawsTest, MfEpochsMatchSequentialTraining) {
 
 TEST(BprDrawsTest, PinSageEpochsMatchSequentialTraining) {
   const data::Dataset train = BprWorld();
-  const PinSageConfig config;
-  const std::size_t dim = config.embedding_dim;
-  PinSageLite model(config);
+  const std::size_t dim = PinSageLite::kEmbeddingDim;
+  PinSageLite model;
   util::Rng rng(TestSeed(107));
   model.InitTraining(train, rng);
   for (int epoch = 0; epoch < 3; ++epoch) model.TrainEpoch(train, rng);
@@ -934,9 +932,9 @@ TEST(BprDrawsTest, PinSageEpochsMatchSequentialTraining) {
   // PinSageLite's InitTraining draws and its sequential TrainEpoch.
   util::Rng ref_rng(TestSeed(107));
   math::Matrix items(train.num_items(), dim);
-  items.FillNormal(ref_rng, 0.0f, config.init_stddev);
-  const float lr = config.learning_rate;
-  const float reg = config.regularization;
+  items.FillNormal(ref_rng, 0.0f, PinSageLite::kInitStddev);
+  const float lr = PinSageLite::kLearningRate;
+  const float reg = PinSageLite::kRegularization;
   std::vector<float> user_rep(dim);
   for (int epoch = 0; epoch < 3; ++epoch) {
     const std::size_t steps = train.num_interactions();

@@ -315,16 +315,6 @@ TEST(AttackServerTest, JobCheckpointResumeMatchesUninterruptedJob) {
   }
 }
 
-/// What one surrogate training adds to `attack.surrogate_epochs`; 0 with
-/// observability compiled out, where the counter never moves.
-std::uint64_t OneTrainingEpochs() {
-#if defined(COPYATTACK_OBS_DISABLED)
-  return 0;
-#else
-  return attack::SurrogateConfig{}.epochs;
-#endif
-}
-
 /// `attack.surrogate_epochs` counted over `body` with telemetry on.
 template <typename Body>
 std::uint64_t SurrogateEpochsDuring(Body body) {
@@ -379,8 +369,8 @@ TEST(AttackServerTest, SurrogateJobsShareOneModelAndMatchSeparateServers) {
   }
   // The shared server trains once; a server per job trains once for each
   // of the three surrogate-based jobs.
-  EXPECT_EQ(shared_epochs, OneTrainingEpochs());
-  EXPECT_EQ(separate_epochs, 3 * OneTrainingEpochs());
+  EXPECT_EQ(shared_epochs, attack::TargetSurrogate::kEpochs);
+  EXPECT_EQ(separate_epochs, 3 * attack::TargetSurrogate::kEpochs);
 }
 
 TEST(AttackServerTest, SurrogateJobResumesOnServerHoldingAnotherJobsModel) {
@@ -425,7 +415,7 @@ TEST(AttackServerTest, SurrogateJobResumesOnServerHoldingAnotherJobsModel) {
             core::CheckpointSource::kNone);
   ExpectResultsEqual(resumed.result, reference.result);
   // Only the influence job trained: both transfer runs reused its model.
-  EXPECT_EQ(epochs, OneTrainingEpochs());
+  EXPECT_EQ(epochs, attack::TargetSurrogate::kEpochs);
 }
 
 // ---------------------------------------------------------------------------

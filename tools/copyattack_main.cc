@@ -1,11 +1,7 @@
 #include <iostream>
 
 #include "cli.h"
-#include "fault/crash_point.h"
 
 int main(int argc, char** argv) {
-  // Chaos harness hook: COPYATTACK_CRASH_POINT arms a deterministic
-  // process-death schedule (tools/soak_runner, CI soak one-liners).
-  copyattack::fault::ArmCrashScheduleFromEnv();
   return copyattack::tools::RunCli(argc, argv, std::cout);
 }

@@ -3,9 +3,12 @@
 # the release suite and by CI after its Test step:
 #
 #   2b. telemetry export through the real CLI; its JSON files must parse
-#   2c. the tiny arms-race frontier schema check, then the deterministic
+#   2c. the tiny arms-race frontier schema check, then seven deterministic
 #       recipes regenerated and compared exactly (--tol=0) with their
-#       committed CSVs
+#       committed CSVs; target_models, reward_shaping and the default
+#       (small) arms_race_frontier are the only full-campaign runs of
+#       ItemKNN, the adaptive detector, the surrogate zoo and the
+#       GRU/raw-HR CopyAttack variants
 #   2d. every program under examples/ runs to exit 0; the CSV that
 #       promotion_campaign writes and the stdout of quickstart and
 #       budget_planner match their committed samples byte for byte
@@ -85,13 +88,14 @@ for cell in "CopyAttack,ZScore" "CopyAttack,kNN" "CopyAttack,Adaptive" \
   fi
 done
 cp "${frontier}" build/reports/arms_race_frontier_tiny.csv
-for name in defense_detectability table1_datasets query_budget extensions; do
+for name in defense_detectability table1_datasets query_budget extensions \
+            target_models reward_shaping arms_race_frontier; do
   recipe "${name}"
   ./build/tools/csv_compare "bench_results/${name}.csv" \
     "${bench_tmp}/bench_results/${name}.csv" --tol=0
 done
 rm -rf "${bench_tmp}"
-echo "recipe smoke OK (9/9 frontier cells; 4 recipes reproduce exactly)"
+echo "recipe smoke OK (9/9 frontier cells; 7 recipes reproduce exactly)"
 
 # 2d. Example smoke: the example programs are the library's documented
 # entry points (quickstart drives AttackEnvironment directly), so each
