@@ -234,8 +234,7 @@ void PinSageLite::ItemRepresentation(data::ItemId item,
   CA_CHECK_LT(item, items_.rows());
   const std::size_t dim = items_.cols();
   out->assign(dim, 0.0f);
-  const float alpha = kSelfWeight;
-  math::Axpy(alpha, items_.Row(item), out->data(), dim);
+  math::Axpy(kSelfWeight, items_.Row(item), out->data(), dim);
   if (item_user_count_[item] > 0) {
     math::Axpy(item_neighbor_weight_[item], item_user_sum_.Row(item),
                out->data(), dim);
